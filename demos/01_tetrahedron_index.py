@@ -16,10 +16,11 @@ for m, e in [(0, 0), (1, 0), (0, -1), (2, -3), (-1, 2)]:
 print("\nFor odd e the series lives in half-integer powers of q:\n")
 print(f"  I( 1, 1) = {tet_index(1, 1, 9)}")
 
-print("\nMinimal degrees (half-units) grow quadratically away from the origin:")
+print("\nMinimal degrees (half-units) are piecewise quadratic in (m, e), and 0")
+print("on the rays m = 0, e >= 0 and e = 0, m <= 0:")
 row = "      " + " ".join(f"{e:>4}" for e in range(-4, 5))
 print(row)
 for m in range(-4, 5):
     cells = " ".join(f"{tet_min_degree(m, e):>4}" for e in range(-4, 5))
     print(f"  m={m:>2} {cells}")
-print("\n(The engine certifies these degrees; they drive every truncation.)")
+print("\n(These degrees are exact, in closed form; they drive every truncation.)")

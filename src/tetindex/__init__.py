@@ -15,7 +15,6 @@ from .bailey import (
     bailey_verify,
 )
 from .errors import (
-    DegreeCeilingError,
     ExprSyntaxError,
     PrecisionError,
     StabilizationError,
@@ -85,7 +84,6 @@ __all__ = [
     "load_expr_file",
     "TetIndexError",
     "PrecisionError",
-    "DegreeCeilingError",
     "StabilizationError",
     "ExprSyntaxError",
 ]

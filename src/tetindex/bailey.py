@@ -29,7 +29,7 @@ from .identities import (
     compare_series,
 )
 from .series import QSeries, monomial, zero
-from .tetrahedron import analytic_degree_lb, min_degree_bound, tet_index
+from .tetrahedron import tet_index, tet_min_degree
 
 __all__ = [
     "BaileyState",
@@ -98,7 +98,7 @@ class BaileyState:
             return target
         lb = self._seed_lead(n)
         for m, e in self._levels(n):
-            lb += -n + min_degree_bound(m, e, target - lb + n)
+            lb += -n + tet_min_degree(m, e)
         return lb
 
     def alpha(self, n: int, prec: int) -> QSeries:
@@ -110,7 +110,7 @@ class BaileyState:
         sign = -1 if n % 2 else 1
         # clamp at prec + n so one deep factor cannot starve the others
         d_mult = [
-            -n + min(min_degree_bound(m, e, prec + n), prec + n) for m, e in chs
+            -n + min(tet_min_degree(m, e), prec + n) for m, e in chs
         ]
         lead_lb = [self._seed_lead(n)]
         for d in d_mult:
@@ -151,7 +151,7 @@ class BaileyState:
         total = zero(prec)
         for n in self.support():
             sl = self._seed_lead(n)
-            d = min_degree_bound(self.t0, n + m, prec - sl)
+            d = tet_min_degree(self.t0, n + m)
             if sl + d >= prec:
                 continue
             kernel = tet_index(self.t0, n + m, prec - sl)
@@ -169,9 +169,9 @@ class BaileyState:
         def budget(k):
             rem = prec - (2 * k - m)
             ch1, ch2 = self._step_charges(depth, m, k)
-            d1 = min_degree_bound(*ch1, rem)
+            d1 = tet_min_degree(*ch1)
             rem -= d1
-            d2 = min_degree_bound(*ch2, rem)
+            d2 = tet_min_degree(*ch2)
             rem -= d2
             lb = self._beta_lead_lb(depth - 1, k, rem)
             if lb >= rem:
@@ -182,8 +182,8 @@ class BaileyState:
             ch1, ch2 = self._step_charges(depth, m, k)
             b = (
                 (2 * k - m)
-                + analytic_degree_lb(*ch1)
-                + analytic_degree_lb(*ch2)
+                + tet_min_degree(*ch1)
+                + tet_min_degree(*ch2)
                 + self._cheap_beta_lb(depth - 1, k)
             )
             return b >= prec
@@ -227,7 +227,7 @@ class BaileyState:
             return cached
         if depth == 0:
             vals = [
-                self._seed_lead(n) + analytic_degree_lb(self.t0, n + m)
+                self._seed_lead(n) + tet_min_degree(self.t0, n + m)
                 for n in self.support()
             ]
             lb = min(vals) if vals else 0
@@ -237,8 +237,8 @@ class BaileyState:
                 ch1, ch2 = self._step_charges(depth, m, k)
                 return (
                     (2 * k - m)
-                    + analytic_degree_lb(*ch1)
-                    + analytic_degree_lb(*ch2)
+                    + tet_min_degree(*ch1)
+                    + tet_min_degree(*ch2)
                     + self._cheap_beta_lb(depth - 1, k)
                 )
 
@@ -273,7 +273,7 @@ class BaileyState:
             vals = []
             for n in self.support():
                 sl = self._seed_lead(n)
-                vals.append(sl + min_degree_bound(self.t0, n + m, target - sl))
+                vals.append(sl + tet_min_degree(self.t0, n + m))
             lb = min(vals) if vals else target
         else:
             lb = self._scan_step_lb(depth, m, target)
@@ -286,9 +286,9 @@ class BaileyState:
         def term_bound(k):
             rem = target - (2 * k - m)
             ch1, ch2 = self._step_charges(depth, m, k)
-            d1 = min_degree_bound(*ch1, rem)
+            d1 = tet_min_degree(*ch1)
             rem -= d1
-            d2 = min_degree_bound(*ch2, rem)
+            d2 = tet_min_degree(*ch2)
             rem -= d2
             lb = self._beta_lead_lb(depth - 1, k, rem)
             return (2 * k - m) + d1 + d2 + lb
@@ -354,7 +354,7 @@ def bailey_verify(
         rhs = zero(prec)
         for n in state.support():
             alb = state.alpha_lead_lb(n, prec)
-            d = min_degree_bound(t, n + m, prec - alb)
+            d = tet_min_degree(t, n + m)
             if alb + d >= prec:
                 continue
             kernel = tet_index(t, n + m, prec - alb)

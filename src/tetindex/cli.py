@@ -174,7 +174,10 @@ def _parse_steps(text: str):
 
 def _parse_range(text: str):
     lo, _, hi = text.partition("..")
-    return int(lo), int(hi)
+    lo, hi = int(lo), int(hi)
+    if lo > hi:
+        raise ValueError(f"empty range {text!r}: lo must not exceed hi")
+    return lo, hi
 
 
 def run(argv) -> int:
@@ -184,9 +187,16 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if args.prec < 0:
-        print("error: --prec must be nonnegative", file=sys.stderr)
-        return EXIT_USAGE
+    # values that would make a check vacuous or a cap meaningless
+    for flag, value, lo in (
+        ("--prec", args.prec, 0),
+        ("--margin", args.margin, 1),
+        ("--window-cap", args.window_cap, 0),
+        ("--box-cap", args.box_cap, 0),
+    ):
+        if value is not None and value < lo:
+            print(f"error: {flag} must be at least {lo}", file=sys.stderr)
+            return EXIT_USAGE
 
     meta = {"command": " ".join(["tetindex"] + list(argv)), "prec_half_exp": args.prec}
     record = {"meta": meta}
@@ -207,19 +217,12 @@ def run(argv) -> int:
                     args.m1, args.m2, args.e1, args.e2, args.e0,
                     args.prec, args.margin, args.window_cap,
                 )
-                meta["window"] = identities.pentagon_shifted_window_extent(
-                    args.m1, args.m2, args.e1, args.e2, args.e0,
-                    args.prec, args.margin, args.window_cap,
-                )
             else:
                 rep = identities.pentagon_check(
                     args.m1, args.m2, args.e1, args.e2,
                     args.prec, args.margin, args.window_cap,
                 )
-                meta["window"] = identities.pentagon_window_extent(
-                    args.m1, args.m2, args.e1, args.e2,
-                    args.prec, args.margin, args.window_cap,
-                )
+            meta["window"] = rep.window
             record["reports"] = [report_to_json(rep)]
             code = EXIT_OK if rep.holds else EXIT_MISMATCH
         elif args.command == "bailey":

@@ -9,11 +9,6 @@ class PrecisionError(TetIndexError):
     """A series does not carry enough known coefficients for the request."""
 
 
-class DegreeCeilingError(TetIndexError):
-    """Minimal-degree search exhausted its precision ceiling without
-    finding a nonzero coefficient."""
-
-
 class StabilizationError(TetIndexError):
     """An adaptive summation window or box hit its cap before the
     truncation bound was satisfied."""

@@ -3,19 +3,18 @@
 Each check computes both sides as exact truncated series and reports
 coefficientwise agreement.  The infinite charge sums on the right-hand
 sides are truncated by an adaptive symmetric window: the window grows
-until, on both ends, a certified lower bound for the term degree clears
-the requested precision for `margin` consecutive values.  A hard cap
-turns a failed convergence assumption into a loud error instead of a
-silent truncation.
+until, on both ends, the exact term degree clears the requested
+precision for `margin` consecutive values.  A hard cap turns a failed
+convergence assumption into a loud error instead of a silent truncation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import StabilizationError
 from .series import QSeries, equal_to_order, zero
-from .tetrahedron import analytic_degree_lb, min_degree_bound, tet_index
+from .tetrahedron import term_degree, tet_index, tet_min_degree
 
 __all__ = [
     "CheckReport",
@@ -45,12 +44,14 @@ class CheckReport:
     """Outcome of a coefficientwise identity check.
 
     `first_mismatch` is (half_exp, lhs_coeff, rhs_coeff) for the lowest
-    disagreeing order, or None when the identity holds.
+    disagreeing order, or None when the identity holds.  `window` is the
+    half-width of the charge-sum window the check summed over, if any.
     """
 
     verified_to: int
     holds: bool
     first_mismatch: tuple[int, int, int] | None = None
+    window: int | None = None
 
     def __post_init__(self):
         if self.holds != (self.first_mismatch is None):
@@ -80,39 +81,18 @@ def _sign_pow(k: int) -> int:
     return -1 if k % 2 else 1
 
 
-def _degree_budget(charges, pref_h: int, prec: int):
-    """Per-factor lower-bound degrees, or None if the term cannot reach
-    below `prec` (and may therefore be skipped or counted as converged)."""
-    rem = prec - pref_h
-    degs = []
-    for m, e in charges:
-        d = min_degree_bound(m, e, rem)
-        degs.append(d)
-        rem -= d
-    if rem <= 0:
-        return None
-    return degs
-
-
-def _cheap_term_bound(charges, pref_h: int) -> int:
-    """Closed-form lower bound for a term's degree (no series work)."""
-    return pref_h + sum(analytic_degree_lb(m, e) for m, e in charges)
-
-
 def charge_product(charges, pref_h: int, sign: int, prec: int) -> QSeries:
     """sign * q^(pref_h/2) * prod_i I(m_i, e_i), truncated at `prec`.
 
-    Factor precisions are allocated from certified minimal-degree lower
-    bounds so the product is known to at least `prec`.
+    Each factor is computed to exactly the precision the product needs,
+    from the exact minimal degrees of the others.
     """
-    degs = _degree_budget(charges, pref_h, prec)
-    if degs is None:
+    rel = prec - term_degree(charges, pref_h)
+    if rel <= 0:
         return zero(prec)
-    tot = sum(degs)
     prod = None
-    for (m, e), d in zip(charges, degs):
-        p = prec - pref_h - (tot - d)
-        f = tet_index(m, e, p)
+    for m, e in charges:
+        f = tet_index(m, e, tet_min_degree(m, e) + rel)
         prod = f if prod is None else prod * f
     return prod.scaled(sign, pref_h).truncated(prec)
 
@@ -121,14 +101,14 @@ def _grow_symmetric_window(
     meets, margin: int, cap: int, what: str, cheap_ok=None, tail: int = TAIL_HORIZON
 ) -> int:
     """Smallest window half-width E such that the outermost `margin`
-    values on both ends satisfy the degree bound.
+    values on both ends satisfy `meets`.
 
-    The bound profile need not be monotone: a term far outside a locally
-    converged window can still dip below the precision.  When `cheap_ok`
-    is given (a closed-form degree certificate, no series evaluation) the
-    `tail` positions beyond the candidate window are screened with it and
-    the window is forced out to any dip found, so local convergence can
-    never hide an outlying contribution within the horizon."""
+    The degree profile need not be monotone: a term far outside a locally
+    converged window can still dip below the precision.  So the `tail`
+    positions beyond the candidate window are screened as well, with
+    `meets` or, when given, the separate screen `cheap_ok`, and the window
+    is forced out to any dip found; local convergence can never hide an
+    outlying contribution within the horizon."""
     known: dict[int, bool] = {}
 
     def ok(j):
@@ -136,25 +116,44 @@ def _grow_symmetric_window(
             known[j] = meets(j)
         return known[j]
 
+    screen = ok if cheap_ok is None else cheap_ok
     e = margin
     while e <= cap:
         if all(ok(j) and ok(-j) for j in range(e - margin + 1, e + 1)):
-            if cheap_ok is None:
-                return e
             dip = None
             for j in range(e + 1, e + tail + 1):
-                if not (cheap_ok(j) and cheap_ok(-j)):
+                if not (screen(j) and screen(-j)):
                     dip = j
                     break
             if dip is None:
                 return e
-            e = max(dip, e + 1)
+            e = dip
         else:
             e += 1
     raise StabilizationError(
         f"{what} not stabilized within cap {cap}; "
         "the sum may not converge at this precision"
     )
+
+
+def _window(term, prec: int, margin: int, cap: int, what: str) -> int:
+    """Certified half-width for the sum over j of the terms
+    term(j) = (charges, pref_h) at precision `prec`."""
+    return _grow_symmetric_window(
+        lambda j: term_degree(*term(j)) >= prec, margin, cap, what
+    )
+
+
+def _window_sum(term, prec, margin, cap, what, min_window=0):
+    """The certified window sum of charge_product(*term(j), 1, prec) and
+    the window's half-width; `min_window` forces a larger window (used by
+    the stability-replay tests)."""
+    extent = _window(term, prec, margin, cap, what)
+    width = max(extent, min_window)
+    total = zero(prec)
+    for j in range(-width, width + 1):
+        total = total + charge_product(*term(j), 1, prec)
+    return total, extent
 
 
 def triality_check(m: int, e: int, prec: int) -> CheckReport:
@@ -178,23 +177,8 @@ def pentagon_lhs(m1: int, m2: int, e1: int, e2: int, prec: int) -> QSeries:
     return charge_product(((m1 - e2, e1), (m2 - e1, e2)), 0, 1, prec)
 
 
-def _pentagon_rhs(m1, m2, e1, e2, prec, margin, cap):
-    m3 = m1 + m2
-
-    def charges(e3):
-        return ((m1, e1 + e3), (m2, e2 + e3), (m3, e3))
-
-    def meets(e3):
-        return _degree_budget(charges(e3), 2 * e3, prec) is None
-
-    def cheap_ok(e3):
-        return _cheap_term_bound(charges(e3), 2 * e3) >= prec
-
-    extent = _grow_symmetric_window(meets, margin, cap, "pentagon window", cheap_ok)
-    total = zero(prec)
-    for e3 in range(-extent, extent + 1):
-        total = total + charge_product(charges(e3), 2 * e3, 1, prec)
-    return total, extent
+def _pentagon_term(m1, m2, e1, e2):
+    return lambda e3: (((m1, e1 + e3), (m2, e2 + e3), (m1 + m2, e3)), 2 * e3)
 
 
 def pentagon_rhs(
@@ -210,22 +194,15 @@ def pentagon_rhs(
     """Charge sum over e3 of q^(e3) I(m1,e1+e3) I(m2,e2+e3) I(m1+m2,e3),
     adaptively truncated.  `min_window` forces a larger window (used by
     the stability-replay tests)."""
-    s, extent = _pentagon_rhs(m1, m2, e1, e2, prec, margin, cap)
-    if min_window > extent:
-        m3 = m1 + m2
-        total = zero(prec)
-        for e3 in range(-min_window, min_window + 1):
-            total = total + charge_product(
-                ((m1, e1 + e3), (m2, e2 + e3), (m3, e3)), 2 * e3, 1, prec
-            )
-        return total
-    return s
+    term = _pentagon_term(m1, m2, e1, e2)
+    return _window_sum(term, prec, margin, cap, "pentagon window", min_window)[0]
 
 
 def pentagon_window_extent(
     m1, m2, e1, e2, prec, margin=DEFAULT_MARGIN, cap=DEFAULT_WINDOW_CAP
 ) -> int:
-    return _pentagon_rhs(m1, m2, e1, e2, prec, margin, cap)[1]
+    term = _pentagon_term(m1, m2, e1, e2)
+    return _window(term, prec, margin, cap, "pentagon window")
 
 
 def pentagon_check(
@@ -238,11 +215,12 @@ def pentagon_check(
     cap: int = DEFAULT_WINDOW_CAP,
 ) -> CheckReport:
     """Pentagon identity with m3 = m1 + m2 imposed internally."""
+    term = _pentagon_term(m1, m2, e1, e2)
+    rhs, extent = _window_sum(term, prec, margin, cap, "pentagon window")
     if prec <= 0:
-        return CheckReport(prec, True)
+        return CheckReport(prec, True, window=extent)
     lhs = pentagon_lhs(m1, m2, e1, e2, prec)
-    rhs, _ = _pentagon_rhs(m1, m2, e1, e2, prec, margin, cap)
-    return compare_series(lhs, rhs, prec)
+    return replace(compare_series(lhs, rhs, prec), window=extent)
 
 
 def pentagon_shifted_lhs(
@@ -264,26 +242,11 @@ def pentagon_shifted_lhs(
     )
 
 
-def _pentagon_shifted_rhs(m1, m2, e1, e2, e0, prec, margin, cap):
-    m3 = m1 + m2
-    base = m2 - e1
-
-    def charges(e3):
-        return ((m1, e1 + e3), (m2, e2 + e3), (m3, e0 + e3))
-
-    def meets(e3):
-        return _degree_budget(charges(e3), 2 * e3 + base, prec) is None
-
-    def cheap_ok(e3):
-        return _cheap_term_bound(charges(e3), 2 * e3 + base) >= prec
-
-    extent = _grow_symmetric_window(
-        meets, margin, cap, "shifted-pentagon window", cheap_ok
+def _pentagon_shifted_term(m1, m2, e1, e2, e0):
+    return lambda e3: (
+        ((m1, e1 + e3), (m2, e2 + e3), (m1 + m2, e0 + e3)),
+        2 * e3 + m2 - e1,
     )
-    total = zero(prec)
-    for e3 in range(-extent, extent + 1):
-        total = total + charge_product(charges(e3), 2 * e3 + base, 1, prec)
-    return total, extent
 
 
 def pentagon_shifted_rhs(
@@ -299,26 +262,17 @@ def pentagon_shifted_rhs(
 ) -> QSeries:
     """Charge sum of q^(e3 + (m2-e1)/2) I(m1,e1+e3) I(m2,e2+e3)
     I(m1+m2, e0+e3), adaptively truncated."""
-    s, extent = _pentagon_shifted_rhs(m1, m2, e1, e2, e0, prec, margin, cap)
-    if min_window > extent:
-        m3 = m1 + m2
-        base = m2 - e1
-        total = zero(prec)
-        for e3 in range(-min_window, min_window + 1):
-            total = total + charge_product(
-                ((m1, e1 + e3), (m2, e2 + e3), (m3, e0 + e3)),
-                2 * e3 + base,
-                1,
-                prec,
-            )
-        return total
-    return s
+    term = _pentagon_shifted_term(m1, m2, e1, e2, e0)
+    return _window_sum(
+        term, prec, margin, cap, "shifted-pentagon window", min_window
+    )[0]
 
 
 def pentagon_shifted_window_extent(
     m1, m2, e1, e2, e0, prec, margin=DEFAULT_MARGIN, cap=DEFAULT_WINDOW_CAP
 ) -> int:
-    return _pentagon_shifted_rhs(m1, m2, e1, e2, e0, prec, margin, cap)[1]
+    term = _pentagon_shifted_term(m1, m2, e1, e2, e0)
+    return _window(term, prec, margin, cap, "shifted-pentagon window")
 
 
 def pentagon_shifted_check(
@@ -332,8 +286,9 @@ def pentagon_shifted_check(
     cap: int = DEFAULT_WINDOW_CAP,
 ) -> CheckReport:
     """Shifted pentagon identity used to seed the Bailey construction."""
+    term = _pentagon_shifted_term(m1, m2, e1, e2, e0)
+    rhs, extent = _window_sum(term, prec, margin, cap, "shifted-pentagon window")
     if prec <= 0:
-        return CheckReport(prec, True)
+        return CheckReport(prec, True, window=extent)
     lhs = pentagon_shifted_lhs(m1, m2, e1, e2, e0, prec)
-    rhs, _ = _pentagon_shifted_rhs(m1, m2, e1, e2, e0, prec, margin, cap)
-    return compare_series(lhs, rhs, prec)
+    return replace(compare_series(lhs, rhs, prec), window=extent)

@@ -14,7 +14,7 @@ half-integer exponents (such as q^(k/2)) are exact; forms used as index
 charges must be integer-valued on the lattice, which the parser checks.
 
 Evaluation sums over an adaptive cube [-E, E]^rank grown until every
-point on the outer shells clears a certified degree bound, then sums all
+point on the outer shells clears the exact term degree, then sums all
 cube points at full precision.  The built-in `ind41` expression is the
 figure-eight-knot index sum_{k1,k2} I(k1,k2) I(k2,k1).
 """
@@ -26,8 +26,9 @@ import re
 from dataclasses import dataclass
 
 from .errors import ExprSyntaxError, StabilizationError
-from .identities import _cheap_term_bound, _degree_budget, charge_product
+from .identities import charge_product
 from .series import QSeries, zero
+from .tetrahedron import term_degree
 
 __all__ = [
     "AffineForm",
@@ -296,33 +297,20 @@ def eval_expr_with_box(
     """Evaluate and also report the stabilized box half-width."""
     rank = expr.rank
     cap = box_cap if box_cap is not None else box_cap_default(rank)
-    meets: dict[tuple, bool] = {}
 
-    def point_converged(point) -> bool:
-        if point not in meets:
-            meets[point] = (
-                _degree_budget(_point_charges(expr, point), expr.prefactor(point), prec)
-                is None
-            )
-        return meets[point]
+    def converged(point) -> bool:
+        return term_degree(_point_charges(expr, point), expr.prefactor(point)) >= prec
 
     def shell(radius):
         for point in itertools.product(range(-radius, radius + 1), repeat=rank):
             if max(abs(k) for k in point) == radius:
                 yield point
 
-    def cheap_point_ok(point) -> bool:
-        # closed-form degree certificate, no series evaluation
-        return (
-            _cheap_term_bound(_point_charges(expr, point), expr.prefactor(point))
-            >= prec
-        )
-
     tail = 60 if rank <= 2 else 12
     extent = margin
     while extent <= cap:
         if all(
-            point_converged(p)
+            converged(p)
             for r in range(max(1, extent - margin + 1), extent + 1)
             for p in shell(r)
         ):
@@ -331,12 +319,12 @@ def eval_expr_with_box(
             # converged boundary must pull the box out to cover it
             dip = None
             for r in range(extent + 1, extent + tail + 1):
-                if not all(cheap_point_ok(p) for p in shell(r)):
+                if not all(converged(p) for p in shell(r)):
                     dip = r
                     break
             if dip is None:
                 break
-            extent = max(dip, extent + 1)
+            extent = dip
         else:
             extent += 1
     else:

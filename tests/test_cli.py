@@ -98,6 +98,29 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_empty_m_range_is_two(self, capsys):
+        code, out, err = invoke(
+            capsys, "bailey", "--n0", "0", "--t", "1", "--m-range=3..-3", "--prec", "6"
+        )
+        assert code == 2 and out == "" and "range" in err
+
+    @pytest.mark.parametrize("margin", ["0", "-2"])
+    def test_margin_below_one_is_two(self, capsys, margin):
+        code, out, err = invoke(capsys, "ind41", "--prec", "6", "--margin", margin)
+        assert code == 2 and out == "" and "--margin" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("pentagon", "--m1", "0", "--m2", "0", "--e1", "0", "--e2", "0",
+             "--window-cap", "-1"),
+            ("ind41", "--box-cap", "-1"),
+        ],
+    )
+    def test_negative_cap_is_two(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv, "--prec", "8")
+        assert code == 2 and out == "" and "cap" in err
+
     def test_unstable_window_is_three(self, capsys):
         code, _, err = invoke(
             capsys,
