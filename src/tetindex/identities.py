@@ -108,7 +108,14 @@ def _grow_symmetric_window(
     positions beyond the candidate window are screened as well, with
     `meets` or, when given, the separate screen `cheap_ok`, and the window
     is forced out to any dip found; local convergence can never hide an
-    outlying contribution within the horizon."""
+    outlying contribution within the horizon.
+
+    Raises ValueError for a margin below 1, which would accept a window
+    on the tail screen alone, or a negative cap."""
+    if margin < 1:
+        raise ValueError(f"window margin must be at least 1, got {margin}")
+    if cap < 0:
+        raise ValueError(f"window cap must not be negative, got {cap}")
     known: dict[int, bool] = {}
 
     def ok(j):

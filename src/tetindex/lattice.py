@@ -294,9 +294,16 @@ def eval_expr_with_box(
     margin: int = 3,
     box_cap: int | None = None,
 ) -> tuple[QSeries, int]:
-    """Evaluate and also report the stabilized box half-width."""
+    """Evaluate and also report the stabilized box half-width.
+
+    Raises ValueError for a margin below 1, which would accept a box on
+    the tail screen alone, or a negative cap."""
     rank = expr.rank
     cap = box_cap if box_cap is not None else box_cap_default(rank)
+    if margin < 1:
+        raise ValueError(f"box margin must be at least 1, got {margin}")
+    if cap < 0:
+        raise ValueError(f"box cap must not be negative, got {cap}")
 
     def converged(point) -> bool:
         return term_degree(_point_charges(expr, point), expr.prefactor(point)) >= prec

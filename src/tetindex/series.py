@@ -4,11 +4,30 @@ Exponents are measured in *half-units*: the integer h stands for q^(h/2).
 A series knows its coefficients for all exponents strictly below its
 precision bound `prec` (also in half-units).  Coefficients are ordinary
 Python ints, so they never overflow and never become inexact.
+
+Arithmetic cost:
+
+- Multiplication is schoolbook below `KRONECKER_MIN` coefficients per
+  operand.  Longer products use Kronecker substitution (Harvey, "Faster
+  polynomial multiplication via multipoint Kronecker substitution"): each
+  operand is packed into one int with a slot per coefficient, wide enough
+  for any product coefficient, the two ints are multiplied by CPython's
+  Karatsuba, and the slots are read back.  When neither operand has a
+  nonzero coefficient at an odd offset from its lead (a series in q, not
+  q^(1/2), such as every 1/(q;q)_n) only every other coefficient is
+  packed, which halves the integers.
+- `inverse` solves the triangular recursion over the nonzero
+  coefficients of the divisor only.  (q;q)_n is sparse: by Euler's
+  pentagonal theorem (q;q)_inf has O(sqrt(H)) nonzero coefficients below
+  q^H, so inverting it costs O(H sqrt(H)), not O(H^2).
+- `qpoch` memoizes (q;q)_k for every k and builds (q;q)_n from the
+  highest one cached, one shift-and-subtract per factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import PrecisionError
 
@@ -21,6 +40,10 @@ __all__ = [
     "equal_to_order",
     "half_exp_str",
 ]
+
+# products whose operands both have at least this many coefficients go
+# through one big-integer multiplication (Kronecker substitution)
+KRONECKER_MIN = 32
 
 
 @dataclass(frozen=True)
@@ -112,9 +135,14 @@ class QSeries:
         if not self.coeffs or not other.coeffs:
             return zero(prec)
         lead = self.lead + other.lead
+        # n = min(len(self.coeffs), len(other.coeffs)): both operands
+        # contribute exactly their first n coefficients
         n = prec - lead
         if n <= 0:
             return zero(prec)
+        if n >= KRONECKER_MIN:
+            out = _kronecker(self.coeffs[:n], other.coeffs[:n])
+            return _from_array(lead, out, prec)
         out = [0] * n
         for i, ca in enumerate(self.coeffs):
             if ca == 0 or i >= n:
@@ -137,15 +165,18 @@ class QSeries:
                 "(anything else forces rational coefficients)"
             )
         n = self.prec
+        terms = [(j, aj) for j, aj in enumerate(self.coeffs) if j and aj]
+        # with every exponent of the divisor a multiple of `step`, so is
+        # every exponent of the inverse; the others stay zero
+        step = gcd(*(j for j, _ in terms)) or n
         out = [0] * n
         out[0] = a0
-        for k in range(1, n):
+        for k in range(step, n, step):
             acc = 0
-            top = min(k, len(self.coeffs) - 1)
-            for j in range(1, top + 1):
-                aj = self.coeffs[j]
-                if aj:
-                    acc += aj * out[k - j]
+            for j, aj in terms:
+                if j > k:
+                    break
+                acc += aj * out[k - j]
             out[k] = -a0 * acc
         return _from_array(0, out, n)
 
@@ -183,6 +214,55 @@ def _from_array(lead: int, out: list[int], prec: int) -> QSeries:
     if i == len(out):
         return zero(prec)
     return QSeries(lead + i, tuple(out[i:]), prec)
+
+
+def _kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """The first n coefficients of the product of two length-n coefficient
+    sequences, by Kronecker substitution: evaluate both at a power of two
+    wide enough that no product coefficient overflows its slot, multiply
+    the two ints (CPython's Karatsuba) and read the slots back."""
+    n = len(a)
+    # a series in q (no odd offset) is packed with every other coefficient
+    step = 1 if any(a[1::2]) or any(b[1::2]) else 2
+    a, b = a[::step], b[::step]
+    m = len(a)
+    # |c_k| <= m * max|a| * max|b| < 2^bound; one more bit holds the sign
+    bound = (
+        max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + m.bit_length()
+    )
+    bits = 8 * (bound // 8 + 1)
+    ones = int.from_bytes((b"\x01" + bytes(bits // 8 - 1)) * m, "little")
+    product = _pack(a, bits, ones) * _pack(b, bits, ones)
+    out = [0] * n
+    out[::step] = _unpack(product, m, bits, ones)
+    return out
+
+
+def _pack(coeffs, bits: int, ones: int) -> int:
+    """sum_i coeffs[i] * 2^(bits i), for |coeffs[i]| < 2^(bits - 1);
+    `ones` has a 1 in the lowest bit of every slot."""
+    width = bits // 8
+    value = int.from_bytes(
+        b"".join([c.to_bytes(width, "little", signed=True) for c in coeffs]), "little"
+    )
+    # a negative c went in as c + 2^bits, and its slot's top bit is set:
+    # borrow 2^bits back from the next slot up
+    return value - (((value >> (bits - 1)) & ones) << bits)
+
+
+def _unpack(value: int, m: int, bits: int, ones: int) -> list[int]:
+    """The m lowest slots of `value`, each a signed integer in
+    (-2^(bits - 1), 2^(bits - 1))."""
+    width = bits // 8
+    half = 1 << (bits - 1)
+    # with 2^(bits - 1) added in every slot, each slot is a plain unsigned
+    # field that no borrow crosses
+    raw = ((value + half * ones) & ((1 << bits * m) - 1)).to_bytes(width * m, "little")
+    from_bytes = int.from_bytes
+    return [
+        from_bytes(raw[i : i + width], "little") - half
+        for i in range(0, width * m, width)
+    ]
 
 
 def _mono_str(h: int, big_o: bool = False) -> str:
@@ -248,21 +328,25 @@ _qpoch_cache: dict[int, QSeries] = {}
 def qpoch(n: int, prec: int) -> QSeries:
     """The finite product (q;q)_n = prod_{k=1}^{n} (1 - q^k), truncated.
 
-    Always has constant term 1 and integer coefficients.
+    Always has constant term 1 and integer coefficients.  (q;q)_k is
+    memoized for every k at the highest precision built so far, and
+    (q;q)_n is built from the highest cached (q;q)_k, one factor at a time.
     """
     if n < 0:
         raise ValueError("qpoch requires n >= 0")
     if prec <= 0:
         return zero(prec)
-    cached = _qpoch_cache.get(n)
-    if cached is not None and cached.prec >= prec:
-        return cached.truncated(prec)
-    s = one(prec)
-    for k in range(1, n + 1):
-        if 2 * k >= prec:
-            break
-        # multiply by (1 - q^k) via shift-and-subtract; exact at this prec
-        s = s - s.scaled(1, 2 * k).truncated(prec)
-    if cached is None or prec > cached.prec:
-        _qpoch_cache[n] = s
+    # a factor (1 - q^k) with 2k >= prec is 1 to this precision
+    n = min(n, (prec - 1) // 2)
+    done = n
+    while done > 0 and (done not in _qpoch_cache or _qpoch_cache[done].prec < prec):
+        done -= 1
+    s = _qpoch_cache[done].truncated(prec) if done else one(prec)
+    out = list(s.coeffs)
+    for k in range(done + 1, n + 1):
+        # multiply by (1 - q^k): shift by 2k half-units and subtract
+        shift = 2 * k
+        out[shift:] = [x - y for x, y in zip(out[shift:], out)]
+        s = QSeries(0, tuple(out), prec)
+        _qpoch_cache[k] = s
     return s

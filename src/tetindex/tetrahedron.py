@@ -8,6 +8,9 @@ so the half-integer exponents that occur for odd e stay exact.
 
 A single growing cache stores, per charge pair (m, e), the highest-
 precision series computed so far; lower-precision requests truncate it.
+The rows 1/(q;q)_n are shared by every charge pair the same way: each
+is inverted once, at the highest precision asked for so far, so a
+summand costs one product of two rows.
 The minimal degree of I(m, e), which drives every downstream truncation
 bound, is exact and in closed form (Garoufalidis, "The 3D index of an
 ideal triangulation and angle structures"); no series is evaluated to
@@ -16,6 +19,7 @@ find it.
 
 from __future__ import annotations
 
+from . import series
 from .series import QSeries, qpoch, zero
 
 __all__ = [
@@ -29,11 +33,25 @@ __all__ = [
 ]
 
 _index_cache: dict[tuple[int, int], QSeries] = {}
+# n -> 1/(q;q)_n at the highest precision requested so far, shared by
+# every charge pair
+_row_cache: dict[int, QSeries] = {}
 
 
 def clear_caches() -> None:
-    """Drop all memoized indices (for tests)."""
+    """Drop every kernel memo: indices, 1/(q;q)_n rows and (q;q)_n."""
     _index_cache.clear()
+    _row_cache.clear()
+    series._qpoch_cache.clear()
+
+
+def _row(n: int, prec: int) -> QSeries:
+    """1/(q;q)_n truncated at half-exponent `prec`."""
+    cached = _row_cache.get(n)
+    if cached is None or cached.prec < prec:
+        cached = qpoch(n, prec).inverse()
+        _row_cache[n] = cached
+    return cached.truncated(prec)
 
 
 def summation_floor(e: int) -> int:
@@ -57,7 +75,7 @@ def tet_term(n: int, m: int, e: int, prec: int) -> QSeries:
     if lead >= prec:
         return zero(prec)
     rel = prec - lead
-    body = qpoch(n, rel).inverse() * qpoch(n + e, rel).inverse()
+    body = _row(n, rel) * _row(n + e, rel)
     return body.scaled(-1 if n % 2 else 1, lead)
 
 

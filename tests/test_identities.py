@@ -89,6 +89,15 @@ class TestPentagon:
     def test_degenerate_precision_vacuous(self):
         assert pentagon_check(2, 2, 2, 2, 0).holds
 
+    @pytest.mark.parametrize("kwargs", [{"margin": 0}, {"margin": -1}, {"cap": -1}])
+    def test_vacuous_window_arguments_rejected(self, kwargs):
+        # a margin below 1 would accept a window on the tail screen alone
+        for check in (pentagon_check, pentagon_rhs, pentagon_window_extent):
+            with pytest.raises(ValueError):
+                check(0, 0, 0, 0, 8, **kwargs)
+        with pytest.raises(ValueError):
+            pentagon_shifted_check(0, 0, 0, 0, 1, 8, **kwargs)
+
 
 class TestShiftedPentagon:
     def test_e0_zero_matches_unshifted_product(self):

@@ -123,6 +123,14 @@ class TestEval:
         with pytest.raises(StabilizationError):
             eval_expr(parse_expr(IND41_TEXT), 8, box_cap=1)
 
+    @pytest.mark.parametrize("kwargs", [{"margin": 0}, {"margin": -2}, {"box_cap": -1}])
+    def test_vacuous_box_arguments_rejected(self, kwargs):
+        # a margin below 1 would accept a box on the tail screen alone
+        with pytest.raises(ValueError):
+            eval_expr_with_box(parse_expr(IND41_TEXT), 10, **kwargs)
+        with pytest.raises(ValueError):
+            ind41(10, **kwargs)
+
     def test_negated_expression(self):
         e = parse_expr("sum k1 k2 : - I(k1,k2)*I(k2,k1)")
         s = eval_expr(e, 6)

@@ -1,9 +1,22 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import dict_inv, dict_mul, naive_qpoch, same_to_order, series_to_dict
 from tetindex.errors import PrecisionError
-from tetindex.series import QSeries, equal_to_order, monomial, one, qpoch, zero
+from tetindex.series import (
+    KRONECKER_MIN,
+    QSeries,
+    equal_to_order,
+    monomial,
+    one,
+    qpoch,
+    zero,
+)
+from tetindex.tetrahedron import clear_caches
 
 
 def assert_canonical(s):
@@ -30,6 +43,23 @@ def series(lead, coeffs, prec):
 def random_series(draw):
     lead = draw(st.integers(-10, 10))
     coeffs = draw(st.lists(st.integers(-100, 100), max_size=8))
+    return series(lead, coeffs, lead + len(coeffs))
+
+
+@st.composite
+def long_series(draw, lead=None, unit=False):
+    """Up to 120 coefficients of up to 10^40, so products of two such
+    series reach the Kronecker path.  With stride 2 every odd offset from
+    the lead is zero, as in a series in q; stride 3 makes a sparse series.
+    `unit` gives a lead-0 series with constant term +-1."""
+    if lead is None:
+        lead = draw(st.integers(-11, 11))
+    n = draw(st.integers(0, 120))
+    coeffs = draw(st.lists(st.integers(-(10**40), 10**40), min_size=n, max_size=n))
+    stride = draw(st.sampled_from((1, 2, 3)))
+    coeffs = [c if i % stride == 0 else 0 for i, c in enumerate(coeffs)]
+    if unit:
+        coeffs = [draw(st.sampled_from((1, -1)))] + coeffs
     return series(lead, coeffs, lead + len(coeffs))
 
 
@@ -101,6 +131,35 @@ class TestMul:
         assert x == y
         assert_canonical(x)
 
+    @settings(max_examples=150, deadline=None)
+    @given(long_series(), long_series())
+    def test_long_products_against_oracle(self, a, b):
+        s = a * b
+        prec = min(a.prec + b.lead, b.prec + a.lead)
+        assert s.prec == prec
+        assert_canonical(s)
+        want = dict_mul(series_to_dict(a), series_to_dict(b), prec)
+        assert same_to_order(want, s, prec)
+
+    @pytest.mark.parametrize("c", [2**65 - 1, -(2**65 - 1), 255, -256])
+    @pytest.mark.parametrize("n", [KRONECKER_MIN - 1, KRONECKER_MIN, 63, 126])
+    def test_slot_boundaries(self, c, n):
+        # constant operands make the top product coefficient m * c^2 with
+        # m = 63 packed slots: within one bit of the slot width; alternating
+        # signs exercise the borrows.  A stride-2 operand is a series in q,
+        # and only a product of two such is packed every other coefficient.
+        def pattern(stride, alternate):
+            return [
+                c * (-1) ** (alternate * i // stride) if i % stride == 0 else 0
+                for i in range(n)
+            ]
+
+        for sa, sb, alternate in itertools.product((1, 2), (1, 2), (0, 1)):
+            a = series(1, pattern(sa, alternate), n + 1)
+            b = series(0, pattern(sb, 0), n)
+            want = dict_mul(series_to_dict(a), series_to_dict(b), n + 1)
+            assert same_to_order(want, a * b, n + 1)
+
     @settings(max_examples=200)
     @given(random_series(), random_series(), random_series())
     def test_distributivity(self, a, b, c):
@@ -136,6 +195,11 @@ class TestInverse:
         else:
             b = a
         assert equal_to_order(b * b.inverse(), one(b.prec), b.prec)
+
+    @settings(max_examples=150, deadline=None)
+    @given(long_series(lead=0, unit=True))
+    def test_long_inverse_against_oracle(self, a):
+        assert same_to_order(dict_inv(series_to_dict(a), a.prec), a.inverse(), a.prec)
 
 
 class TestEqualToOrder:
@@ -174,6 +238,17 @@ class TestQPoch:
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
             qpoch(-1, 8)
+
+    def test_factors_past_precision_are_one(self):
+        # a deep charge asks for (q;q)_n with 2n far past prec
+        assert qpoch(5000, 20) == qpoch(10, 20)
+
+    def test_incremental_build_in_any_order(self):
+        clear_caches()
+        calls = [(n, prec) for n in range(41) for prec in (31, 90)]
+        random.Random(4).shuffle(calls)
+        for n, prec in calls:
+            assert same_to_order(naive_qpoch(n, prec), qpoch(n, prec), prec)
 
 
 class TestTruncateScale:

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from oracle import naive_min_degree, naive_tet_index, same_to_order
+from tetindex import series, tetrahedron
 from tetindex.series import equal_to_order
 from tetindex.tetrahedron import (
     clear_caches,
@@ -45,6 +48,24 @@ class TestIndex:
         full = tet_index(2, -3, 20)
         assert tet_index(2, -3, 12) == full.truncated(12)
 
+    def test_deep_charge(self):
+        # (q;q)_3000 is needed only to q^5: its factors past 2k >= prec are 1
+        clear_caches()
+        assert str(tet_index(0, 3000, 10)) == "1 + O(q^5)"
+
+    def test_shared_rows_read_below_build_precision(self):
+        # long rows (the Kronecker product path) built at H=160, in a
+        # shuffled charge order, then read truncated at H=40 with the
+        # index cache emptied but the rows kept
+        clear_caches()
+        grid = [(m, e) for m in range(-3, 4) for e in range(-3, 4)]
+        random.Random(160).shuffle(grid)
+        for prec in (160, 40):
+            tetrahedron._index_cache.clear()
+            for m, e in grid:
+                want = naive_tet_index(m, e, prec)
+                assert same_to_order(want, tet_index(m, e, prec), prec)
+
     def test_memoization_transparency(self):
         warm = tet_index(-2, 3, 16)
         clear_caches()
@@ -79,6 +100,15 @@ class TestMinDegree:
 
 
 class TestCacheConsistency:
+    def test_clear_caches_drops_every_kernel_memo(self):
+        tet_index(2, 3, 30)
+        assert tetrahedron._index_cache and tetrahedron._row_cache
+        assert series._qpoch_cache
+        clear_caches()
+        assert not tetrahedron._index_cache
+        assert not tetrahedron._row_cache
+        assert not series._qpoch_cache
+
     def test_truncation_of_cached_high_precision(self):
         clear_caches()
         hi = tet_index(1, 1, 24)
