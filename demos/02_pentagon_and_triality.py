@@ -2,11 +2,11 @@
 
 Both sides are computed as exact truncated series and compared
 coefficient by coefficient.  The infinite charge sum on the pentagon's
-right-hand side is truncated by an adaptive window: certified degree
-bounds grow the window until every discarded term provably starts at or
-above the requested order, including a closed-form screen of two hundred
-positions beyond the window (degree profiles are not monotone, and a
-distant dip must not be missed).
+right-hand side is truncated exactly: the exact degree of each term is
+one quadratic in e3 between consecutive zeros of the charges and past
+the outermost ones, so every term that starts below the requested order
+is found, however far out it lies (degree profiles are not monotone),
+and the window covers them all.
 
 Run:  python3 demos/02_pentagon_and_triality.py
 """

@@ -9,8 +9,9 @@ at each deeper level, and is computed lazily with memoization per
 
 The step transform multiplies alpha_n pointwise by
     (-1)^n q^(-n/2) I(3t - s + n, 2s - t - n)
-and sends beta through an infinite charge sum that is truncated with the
-same adaptive-window machinery as the pentagon right-hand side.  The
+and sends beta through an infinite charge sum that is truncated by a
+symmetric window grown until `margin` values on each end clear the
+precision, with a tail screened to a finite horizon past it.  The
 lower bound needed for beta's minimal degree is obtained by recursively
 bounding the transform's terms; where the scan hits its cap the current
 minimum is used and a warning is emitted (the stability-replay tests

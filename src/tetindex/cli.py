@@ -10,6 +10,7 @@ error, 3 summation window/box not stabilized.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -117,7 +118,11 @@ def _emit(record: dict, fmt: str, out) -> None:
             print(line, file=out)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every call:
+    each parse_args fills a fresh namespace, so no call sees another's
+    options."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--prec",

@@ -2,10 +2,15 @@
 
 Each check computes both sides as exact truncated series and reports
 coefficientwise agreement.  The infinite charge sums on the right-hand
-sides are truncated by an adaptive symmetric window: the window grows
-until, on both ends, the exact term degree clears the requested
-precision for `margin` consecutive values.  A hard cap turns a failed
-convergence assumption into a loud error instead of a silent truncation.
+sides run over one integer j, with charges and prefactor affine in j.
+Such a sum is truncated exactly: `low_terms` finds every j whose term
+reaches below the requested precision (the exact term degree is one
+quadratic in j between consecutive zeros of the charges, and past the
+outermost ones), and the window covers them with `margin` values to
+spare on both ends.  A sum with infinitely
+many such terms raises at once, and a window wider than its cap raises
+too, so a failed convergence assumption is a loud error instead of a
+silent truncation.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ __all__ = [
     "pentagon_shifted_check",
     "pentagon_window_extent",
     "pentagon_shifted_window_extent",
+    "low_terms",
+    "rank1_extent",
     "charge_product",
     "DEFAULT_MARGIN",
     "DEFAULT_WINDOW_CAP",
@@ -35,7 +42,7 @@ __all__ = [
 
 DEFAULT_MARGIN = 3
 DEFAULT_WINDOW_CAP = 64
-# how far past the scanned window the closed-form tail certificate looks
+# how far past a candidate Bailey step window its tail screen looks
 TAIL_HORIZON = 200
 
 
@@ -97,25 +104,29 @@ def charge_product(charges, pref_h: int, sign: int, prec: int) -> QSeries:
     return prod.scaled(sign, pref_h).truncated(prec)
 
 
+def _check_window_args(margin: int, cap: int, kind: str) -> None:
+    """Raise ValueError for a margin below 1, which would accept a window
+    without a single checked value past its last low term, or a negative
+    cap."""
+    if margin < 1:
+        raise ValueError(f"{kind} margin must be at least 1, got {margin}")
+    if cap < 0:
+        raise ValueError(f"{kind} cap must not be negative, got {cap}")
+
+
 def _grow_symmetric_window(
-    meets, margin: int, cap: int, what: str, cheap_ok=None, tail: int = TAIL_HORIZON
+    meets, margin: int, cap: int, what: str, screen, tail: int = TAIL_HORIZON
 ) -> int:
     """Smallest window half-width E such that the outermost `margin`
-    values on both ends satisfy `meets`.
+    values on both ends satisfy `meets` and the `tail` positions beyond
+    them pass `screen`.
 
-    The degree profile need not be monotone: a term far outside a locally
-    converged window can still dip below the precision.  So the `tail`
-    positions beyond the candidate window are screened as well, with
-    `meets` or, when given, the separate screen `cheap_ok`, and the window
-    is forced out to any dip found; local convergence can never hide an
-    outlying contribution within the horizon.
-
-    Raises ValueError for a margin below 1, which would accept a window
-    on the tail screen alone, or a negative cap."""
-    if margin < 1:
-        raise ValueError(f"window margin must be at least 1, got {margin}")
-    if cap < 0:
-        raise ValueError(f"window cap must not be negative, got {cap}")
+    This is the Bailey step window, whose terms are not affine in the
+    summation index.  The degree profile need not be monotone: a term
+    far outside a locally converged window can still dip below the
+    precision, so a dip found by the screen forces the window out to it.
+    Only dips within the horizon are seen."""
+    _check_window_args(margin, cap, "window")
     known: dict[int, bool] = {}
 
     def ok(j):
@@ -123,7 +134,6 @@ def _grow_symmetric_window(
             known[j] = meets(j)
         return known[j]
 
-    screen = ok if cheap_ok is None else cheap_ok
     e = margin
     while e <= cap:
         if all(ok(j) and ok(-j) for j in range(e - margin + 1, e + 1)):
@@ -143,12 +153,106 @@ def _grow_symmetric_window(
     )
 
 
+def _low_steps(d: int, slope: int, curve: int, n: int | None, prec: int):
+    """The t in [0, n] (n None: every t >= 0) at which the quadratic
+    q(t) = d + slope*t + curve*t*(t-1)/2 is below `prec`; with n None the
+    quadratic must be convex or rise, so that the set is finite."""
+
+    def q(t):
+        return d + slope * t + curve * (t * (t - 1) // 2)
+
+    if curve < 0:  # concave: q >= prec on one middle interval, if at all
+        lo, hi = 0, n
+        while lo <= hi and q(lo) < prec:
+            lo += 1
+        while hi >= lo and q(hi) < prec:
+            hi -= 1
+        return [*range(lo), *range(hi + 1, n + 1)]
+    # convex or linear: the low values form one interval around the minimum
+    if slope >= 0:
+        v = 0
+    elif curve == 0:
+        v = n
+    else:
+        v = -(slope // curve)  # the first t where q stops falling
+        v = v if n is None else min(v, n)
+    if q(v) >= prec:
+        return []
+    lo = hi = v
+    while lo > 0 and q(lo - 1) < prec:
+        lo -= 1
+    while (n is None or hi < n) and q(hi + 1) < prec:
+        hi += 1
+    return range(lo, hi + 1)
+
+
+def low_terms(term, prec: int, what: str = "charge sum") -> list[int]:
+    """Every j with term_degree(*term(j)) < prec, in increasing order.
+
+    term(j) = (charges, pref_h) must be affine in j: every charge and the
+    prefactor.  tet_min_degree is one polynomial on each sector cut out
+    by m = 0, e = 0 and m + e = 0, so between consecutive zeros of the
+    m, e and m + e of all factors, and past the outermost ones, the term
+    degree is one exact quadratic in j.  Each such piece is read from
+    three consecutive values and solved for its low values; the zeros
+    themselves (rounded down) are tested one by one.  On an outer ray, a
+    negative second difference, or a line that falls or stays below
+    `prec`, means infinitely many low terms: the sum diverges at this
+    precision and StabilizationError is raised.  The cost is a few
+    degree evaluations per piece plus the size of the answer.
+    """
+    (charges0, _), (charges1, _) = term(0), term(1)
+    cuts = {0}
+    for (m0, e0), (m1, e1) in zip(charges0, charges1):
+        for b, a in ((m0, m1 - m0), (e0, e1 - e0), (m0 + e0, m1 + e1 - m0 - e0)):
+            if a:
+                cuts.add(-b // a)  # the zero, rounded down
+    cuts = sorted(cuts)
+
+    def degree(j):
+        return term_degree(*term(j))
+
+    low = [j for j in cuts if degree(j) < prec]
+    # (first j, direction, last step or None for a ray) of every piece
+    pieces = [(a + 1, 1, b - a - 2) for a, b in zip(cuts, cuts[1:]) if b - a > 1]
+    pieces += [(cuts[-1] + 1, 1, None), (cuts[0] - 1, -1, None)]
+    for j, step, n in pieces:
+        # a piece of one or two values reads past its end here, but the
+        # values _low_steps then tests, d and d + slope, are exact and
+        # its answer does not depend on curve
+        d = degree(j)
+        slope = degree(j + step) - d
+        curve = degree(j + 2 * step) - 2 * slope - d
+        if n is None and (
+            curve < 0 or curve == 0 and (slope < 0 or slope == 0 and d < prec)
+        ):
+            raise StabilizationError(
+                f"{what} diverges: infinitely many of its terms start "
+                f"below half-exponent {prec}"
+            )
+        low += [j + step * t for t in _low_steps(d, slope, curve, n, prec)]
+    return sorted(low)
+
+
+def rank1_extent(term, prec: int, margin: int, what: str) -> int:
+    """Exact window half-width for the sum over j of term(j), as for
+    `low_terms`: `margin` past the farthest nonzero j whose term reaches
+    below `prec`, or `margin` when there is none.  The centre j = 0 is
+    always summed, so it never widens the window."""
+    return margin + max((abs(j) for j in low_terms(term, prec, what) if j), default=0)
+
+
 def _window(term, prec: int, margin: int, cap: int, what: str) -> int:
-    """Certified half-width for the sum over j of the terms
+    """Exact half-width for the sum over j of the terms
     term(j) = (charges, pref_h) at precision `prec`."""
-    return _grow_symmetric_window(
-        lambda j: term_degree(*term(j)) >= prec, margin, cap, what
-    )
+    _check_window_args(margin, cap, "window")
+    extent = rank1_extent(term, prec, margin, what)
+    if extent > cap:
+        raise StabilizationError(
+            f"{what} not stabilized within cap {cap}; "
+            "the sum may not converge at this precision"
+        )
+    return extent
 
 
 def _window_sum(term, prec, margin, cap, what, min_window=0):

@@ -13,9 +13,13 @@ Affine forms are stored in half-units so monomial prefactors with
 half-integer exponents (such as q^(k/2)) are exact; forms used as index
 charges must be integer-valued on the lattice, which the parser checks.
 
-Evaluation sums over an adaptive cube [-E, E]^rank grown until every
-point on the outer shells clears the exact term degree, then sums all
-cube points at full precision.  The built-in `ind41` expression is the
+Evaluation sums all points of a cube [-E, E]^rank at full precision.  A
+rank-1 sum gets its half-width exactly, from every lattice point whose
+term reaches below the precision (see `identities.low_terms`), and a
+divergent one raises at once.  A sum of higher rank grows its cube until
+every point on the outer `margin` shells clears the exact term degree,
+and screens a finite number of shells beyond it, so only dips within
+that horizon are seen.  The built-in `ind41` expression is the
 figure-eight-knot index sum_{k1,k2} I(k1,k2) I(k2,k1).
 """
 
@@ -24,11 +28,12 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import ExprSyntaxError, StabilizationError
-from .identities import charge_product
+from .identities import charge_product, rank1_extent
 from .series import QSeries, zero
-from .tetrahedron import term_degree
+from .tetrahedron import tet_min_degree
 
 __all__ = [
     "AffineForm",
@@ -288,53 +293,95 @@ def _point_charges(expr: LatticeSumExpr, point):
     return tuple((a(point) // 2, b(point) // 2) for a, b in expr.factors)
 
 
+def _shell(rank: int, radius: int):
+    """The points of Z^rank with max |k_i| = radius, each once: the first
+    coordinate with |k_i| = radius picks the face, and the coordinates
+    before it lie strictly inside."""
+    if radius == 0:
+        yield (0,) * rank
+        return
+    inner = range(1 - radius, radius)
+    full = range(-radius, radius + 1)
+    for i in range(rank):
+        for head in itertools.product(inner, repeat=i):
+            for rest in itertools.product(full, repeat=rank - 1 - i):
+                yield head + (-radius,) + rest
+                yield head + (radius,) + rest
+
+
+def _screened_extent(expr: LatticeSumExpr, prec: int, margin: int, cap: int):
+    """Smallest cube half-width E whose outer `margin` shells clear `prec`
+    and whose next shells, up to a horizon of 60 (rank 2) or 12 (higher
+    rank), clear it too; None if no E up to `cap` qualifies.  A dip found
+    past a locally converged boundary pulls the cube out to cover it, but
+    a dip beyond the horizon is not seen."""
+    rank = expr.rank
+    pref_k, pref_c = expr.prefactor.coeffs, expr.prefactor.constant
+    # charge coefficients halved once, from half-units to integers
+    forms = [
+        (tuple(c // 2 for c in a.coeffs), a.constant // 2,
+         tuple(c // 2 for c in b.coeffs), b.constant // 2)
+        for a, b in expr.factors
+    ]
+
+    def converged(point) -> bool:
+        d = pref_c + sum(map(mul, pref_k, point))
+        for m_k, m_c, e_k, e_c in forms:
+            if d >= prec:  # every tet_min_degree is nonnegative
+                return True
+            d += tet_min_degree(
+                m_c + sum(map(mul, m_k, point)), e_c + sum(map(mul, e_k, point))
+            )
+        return d >= prec
+
+    verdicts: dict[int, bool] = {}
+
+    def clear(radius) -> bool:
+        if radius not in verdicts:
+            verdicts[radius] = all(map(converged, _shell(rank, radius)))
+        return verdicts[radius]
+
+    tail = 60 if rank == 2 else 12
+    extent = margin
+    while extent <= cap:
+        if all(map(clear, range(extent - margin + 1, extent + 1))):
+            dip = next(
+                (r for r in range(extent + 1, extent + tail + 1) if not clear(r)),
+                None,
+            )
+            if dip is None:
+                return extent
+            extent = dip
+        else:
+            extent += 1
+    return None
+
+
 def eval_expr_with_box(
     expr: LatticeSumExpr,
     prec: int,
     margin: int = 3,
     box_cap: int | None = None,
 ) -> tuple[QSeries, int]:
-    """Evaluate and also report the stabilized box half-width.
+    """Evaluate and also report the box half-width.
 
-    Raises ValueError for a margin below 1, which would accept a box on
-    the tail screen alone, or a negative cap."""
+    Raises ValueError for a margin below 1, which would accept a box
+    without a single checked shell past its last low term, or a negative
+    cap."""
     rank = expr.rank
     cap = box_cap if box_cap is not None else box_cap_default(rank)
     if margin < 1:
         raise ValueError(f"box margin must be at least 1, got {margin}")
     if cap < 0:
         raise ValueError(f"box cap must not be negative, got {cap}")
-
-    def converged(point) -> bool:
-        return term_degree(_point_charges(expr, point), expr.prefactor(point)) >= prec
-
-    def shell(radius):
-        for point in itertools.product(range(-radius, radius + 1), repeat=rank):
-            if max(abs(k) for k in point) == radius:
-                yield point
-
-    tail = 60 if rank <= 2 else 12
-    extent = margin
-    while extent <= cap:
-        if all(
-            converged(p)
-            for r in range(max(1, extent - margin + 1), extent + 1)
-            for p in shell(r)
-        ):
-            # screen the shells beyond the candidate box: the degree
-            # profile need not be monotone, and a dip past a locally
-            # converged boundary must pull the box out to cover it
-            dip = None
-            for r in range(extent + 1, extent + tail + 1):
-                if not all(converged(p) for p in shell(r)):
-                    dip = r
-                    break
-            if dip is None:
-                break
-            extent = dip
-        else:
-            extent += 1
+    if rank == 1:
+        extent = rank1_extent(
+            lambda j: (_point_charges(expr, (j,)), expr.prefactor((j,))),
+            prec, margin, "lattice sum",
+        )
     else:
+        extent = _screened_extent(expr, prec, margin, cap)
+    if extent is None or extent > cap:
         raise StabilizationError(
             f"box not stabilized within cap {cap}; "
             "the lattice sum may not converge at this precision"

@@ -107,15 +107,17 @@ def tet_min_degree(m: int, e: int) -> int:
 
     Exact, in closed form (Garoufalidis): with x+ = max(x, 0),
         m+ (m+e)+ + (-m)+ e+ + (-e)+ (-m-e)+ + max(0, m, -e).
-    It does not grow in every charge direction: it is 0 on the whole rays
-    m = 0, e >= 0 and e = 0, m <= 0.
+    The lines m = 0, e = 0 and m + e = 0 cut the plane into three
+    sectors, on each of which one product survives; the branches below
+    are that same formula, sector by sector.  It does not grow in every
+    charge direction: it is 0 on the whole rays m = 0, e >= 0 and
+    e = 0, m <= 0.
     """
-    return (
-        max(m, 0) * max(m + e, 0)
-        + max(-m, 0) * max(e, 0)
-        + max(-e, 0) * max(-m - e, 0)
-        + max(0, m, -e)
-    )
+    if m >= 0 and m + e >= 0:
+        return m * (m + e) + m
+    if m < 0 and e >= 0:
+        return -m * e
+    return e * (m + e) - e
 
 
 # Former names of the degree bound, kept bound to the one exact function

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import tetindex
+
 from tetindex import cli
 from tetindex.cli import run, series_from_json, series_to_json
+from tetindex import identities
 from tetindex.identities import CheckReport
 from tetindex.series import QSeries
 from tetindex.tetrahedron import tet_index
@@ -134,6 +140,31 @@ class TestExitCodes:
         assert code == 3 and "not stabilized" in err
 
 
+class TestParserReuse:
+    def test_second_call_sees_only_its_own_options(self, capsys):
+        # the parser is built once per process; a fresh interpreter builds
+        # its own, so each in-process output must match a fresh call's
+        base = ["pentagon", "--m1", "1", "--m2", "0", "--e1", "1", "--e2", "0",
+                "--prec", "8", "--format", "json"]
+        shifted = base[:1] + ["--shifted"] + base[1:] + ["--e0", "1"]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tetindex.__file__)))
+        for argv in (shifted, base):
+            code, out, err = invoke(capsys, *argv)
+            fresh = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from tetindex.cli import run; sys.exit(run(sys.argv[1:]))",
+                 *argv],
+                capture_output=True, text=True, env=env, check=False,
+            )
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        rec = json.loads(out)
+        assert rec["reports"][0]["holds"]
+        assert rec["meta"]["window"] == identities.pentagon_window_extent(1, 0, 1, 0, 8)
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+
 class TestCommands:
     def test_triality(self, capsys):
         code, out, _ = invoke(
@@ -176,3 +207,11 @@ class TestCommands:
         p.write_text("# knot\nsum k1 k2 : I(k1,k2)*I(k2,k1)\n")
         code, out, _ = invoke(capsys, "eval", "--file", str(p), "--prec", "6")
         assert code == 0 and out.strip().startswith("1 - 8*q")
+
+    def test_divergent_sum_is_three(self, capsys, tmp_path):
+        p = tmp_path / "divergent.txt"
+        p.write_text("sum k : q^(-k) * I(0,k)\n")
+        code, out, err = invoke(
+            capsys, "eval", "--file", str(p), "--prec", "10", "--format", "json"
+        )
+        assert code == 3 and out == "" and "diverges" in err

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle import naive_pentagon_lhs, naive_pentagon_rhs, same_to_order
 from tetindex.errors import StabilizationError
@@ -13,6 +15,8 @@ from tetindex.identities import (
     pentagon_shifted_lhs,
     pentagon_shifted_rhs,
     pentagon_window_extent,
+    low_terms,
+    rank1_extent,
     triality_check,
 )
 from tetindex.series import equal_to_order, monomial, one
@@ -130,3 +134,125 @@ class TestSweeps:
     def test_shifted_corners(self):
         for tup in itertools.product((-1, 1), repeat=5):
             assert pentagon_shifted_check(*tup, 8).holds
+
+
+def _max_form(m, e):
+    return (
+        max(m, 0) * max(m + e, 0)
+        + max(-m, 0) * max(e, 0)
+        + max(-e, 0) * max(-m - e, 0)
+        + max(0, m, -e)
+    )
+
+
+_slope = st.integers(-3, 3)
+
+
+def _factors(offset):
+    return st.lists(st.tuples(_slope, offset, _slope, offset), min_size=1, max_size=3)
+
+
+def _check_against_scan(factors, pref, prec, margin, horizon):
+    def charges(j):
+        return tuple((a * j + b, c * j + d) for a, b, c, d in factors)
+
+    def term(j):
+        return charges(j), pref[0] * j + pref[1]
+
+    def degree(j):
+        return pref[0] * j + pref[1] + sum(_max_form(m, e) for m, e in charges(j))
+
+    scan = [j for j in range(-horizon, horizon + 1) if degree(j) < prec]
+    far = 10**7
+    diverges = any(abs(j) > horizon - 100 for j in scan) or min(
+        degree(far), degree(-far)
+    ) < prec
+    if diverges:
+        with pytest.raises(StabilizationError, match="diverges"):
+            low_terms(term, prec)
+        return
+    assert low_terms(term, prec) == scan
+    want = margin + max((abs(j) for j in scan if j), default=0)
+    assert rank1_extent(term, prec, margin, "sum") == want
+
+
+class TestLowTerms:
+    """low_terms against a brute-force scan of the term degree.
+
+    With slopes in [-3, 3] and offsets up to 300, every zero of an m, e
+    or m + e lies within |j| <= 600, and past them each factor's degree
+    is convex and nonnegative.  So a convergent sum has no low term
+    beyond |j| of about 1500 (prefactor -3j - 300 and one factor of
+    degree 4(j - 297) come closest), and a divergent one, whose degree is
+    linear and falling or constant below H, has every term low past |j|
+    of about 6 * 10^5.  The scan over |j| <= 2000 is exact for the first,
+    and the probe at |j| = 10^7 catches the second where the scan cannot.
+    Offsets up to 12 pack the zeros into short pieces, many of them
+    concave, and a higher H leaves many low terms inside them; there no
+    convergent sum has a low term past |j| of about 200.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        factors=_factors(st.integers(-300, 300)),
+        pref=st.tuples(_slope, st.integers(-300, 300)),
+        prec=st.integers(-4, 20),
+        margin=st.integers(1, 4),
+    )
+    def test_matches_brute_force(self, factors, pref, prec, margin):
+        _check_against_scan(factors, pref, prec, margin, 2000)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        factors=_factors(st.integers(-12, 12)),
+        pref=st.tuples(_slope, st.integers(-12, 12)),
+        prec=st.integers(-10, 80),
+        margin=st.integers(1, 4),
+    )
+    def test_short_pieces_match_brute_force(self, factors, pref, prec, margin):
+        _check_against_scan(factors, pref, prec, margin, 400)
+
+    def test_translated_pentagon_window(self):
+        # sum over j of I(250 - j, j - 250) is a translate of the sum of
+        # I(j, -j): its low terms sit around j = 250, far past any finite
+        # screen of the window's edge
+        def term(j):
+            return ((250 - j, j - 250),), 0
+
+        assert low_terms(term, 8) == list(range(243, 253))
+        assert rank1_extent(term, 8, 3, "sum") == 255
+
+    def test_far_zero_costs_one_piece(self):
+        # the zeros of m and m + e sit at j = 10^6; the one low term is
+        # found from the pieces around it, not by a scan out to it
+        def term(j):
+            return ((10**6 - j, j),), 0
+
+        assert low_terms(term, 8) == [10**6]
+
+    @pytest.mark.parametrize(
+        "term, prec, low",
+        [
+            # degree j^2 - 5j + 12 for j >= 1: 8 at j = 1, then 6, 6, 8, so
+            # the walk must not stop at the first value that clears H = 8
+            (lambda j: (((j, 0),), 12 - 6 * j), 8, [2, 3]),
+            # degree j^2 - 8j + 15 for j >= 1: its differences -5, -3, -1,
+            # 1 first turn nonnegative at j = 4, where the one low value
+            # -1 sits, so the step to the minimum, 2.5, rounds up
+            (lambda j: (((j, 0),), 15 - 9 * j), 0, [4]),
+        ],
+    )
+    def test_dip_past_the_start_of_a_ray(self, term, prec, low):
+        assert low_terms(term, prec) == low
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            lambda j: (((0, j),), -2 * j),  # degree -2j for j >= 0
+            lambda j: (((0, j),), 0),  # degree 0 for every j >= 0
+            lambda j: (((j, 0),), 1),  # degree 1 for every j <= 0
+        ],
+    )
+    def test_falling_or_flat_tail_diverges(self, term):
+        with pytest.raises(StabilizationError, match="diverges"):
+            low_terms(term, 4)

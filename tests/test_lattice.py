@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from tetindex.errors import ExprSyntaxError, StabilizationError
 from tetindex.identities import pentagon_rhs
 from tetindex.lattice import (
     IND41_TEXT,
+    _shell,
     box_cap_default,
     eval_expr,
     eval_expr_with_box,
@@ -130,6 +132,28 @@ class TestEval:
             eval_expr_with_box(parse_expr(IND41_TEXT), 10, **kwargs)
         with pytest.raises(ValueError):
             ind41(10, **kwargs)
+
+    def test_translated_rank1_sum_is_not_truncated(self):
+        # a translate of sum k : I(k, -k), whose low terms lie near k = 250
+        expr = parse_expr("sum k : I(250 - k, k - 250)")
+        with pytest.raises(StabilizationError, match="not stabilized"):
+            eval_expr_with_box(expr, 8)
+        s, extent = eval_expr_with_box(expr, 8, box_cap=300)
+        assert extent == 255
+        assert s == eval_expr(parse_expr("sum k : I(k, -k)"), 8)
+
+    def test_divergent_rank1_sum_names_divergence(self):
+        with pytest.raises(StabilizationError, match="diverges"):
+            eval_expr(parse_expr("sum k : q^(-k) * I(0,k)"), 10)
+
+    @pytest.mark.parametrize("rank", range(1, 5))
+    @pytest.mark.parametrize("radius", range(7))
+    def test_shell_is_the_cube_boundary(self, rank, radius):
+        points = list(_shell(rank, radius))
+        cube = itertools.product(range(-radius, radius + 1), repeat=rank)
+        want = [p for p in cube if max(map(abs, p)) == radius]
+        assert len(points) == len(set(points))
+        assert sorted(points) == want
 
     def test_negated_expression(self):
         e = parse_expr("sum k1 k2 : - I(k1,k2)*I(k2,k1)")

@@ -91,6 +91,18 @@ class TestMinDegree:
         s = tet_index(3, -2, d + 8)
         assert s.lead == d
 
+    def test_branch_form_equals_max_form(self):
+        def max_form(m, e):
+            return (
+                max(m, 0) * max(m + e, 0)
+                + max(-m, 0) * max(e, 0)
+                + max(-e, 0) * max(-m - e, 0)
+                + max(0, m, -e)
+            )
+
+        span = range(-200, 201)
+        assert all(tet_min_degree(m, e) == max_form(m, e) for m in span for e in span)
+
     def test_bound_is_conservative(self):
         clear_caches()
         lb = min_degree_bound(0, -6)
