@@ -3,14 +3,13 @@
 Each check computes both sides as exact truncated series and reports
 coefficientwise agreement.  The infinite charge sums on the right-hand
 sides run over one integer j, with charges and prefactor affine in j.
-Such a sum is truncated exactly: `low_terms` finds every j whose term
-reaches below the requested precision (the exact term degree is one
-quadratic in j between consecutive zeros of the charges, and past the
-outermost ones), and the window covers them with `margin` values to
-spare on both ends.  A sum with infinitely
-many such terms raises at once, and a window wider than its cap raises
-too, so a failed convergence assumption is a loud error instead of a
-silent truncation.
+Such a sum is truncated exactly: `rank1_extent` finds the farthest j
+whose term reaches below the requested precision (the exact term degree
+is one quadratic in j between consecutive zeros of the charges, and past
+the outermost ones), and the window covers it with `margin` values to
+spare on both ends.  A sum with infinitely many such terms raises at
+once, and a window wider than its cap raises too, so a failed
+convergence assumption is a loud error instead of a silent truncation.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ __all__ = [
     "pentagon_shifted_check",
     "pentagon_window_extent",
     "pentagon_shifted_window_extent",
-    "low_terms",
     "rank1_extent",
     "charge_product",
     "DEFAULT_MARGIN",
@@ -104,29 +102,34 @@ def charge_product(charges, pref_h: int, sign: int, prec: int) -> QSeries:
     return prod.scaled(sign, pref_h).truncated(prec)
 
 
-def _check_window_args(margin: int, cap: int, kind: str) -> None:
+def _check_window_args(margin: int, cap: int, what: str) -> None:
     """Raise ValueError for a margin below 1, which would accept a window
     without a single checked value past its last low term, or a negative
     cap."""
     if margin < 1:
-        raise ValueError(f"{kind} margin must be at least 1, got {margin}")
+        raise ValueError(f"{what} margin must be at least 1, got {margin}")
     if cap < 0:
-        raise ValueError(f"{kind} cap must not be negative, got {cap}")
+        raise ValueError(f"{what} cap must not be negative, got {cap}")
 
 
-def _grow_symmetric_window(
-    meets, margin: int, cap: int, what: str, screen, tail: int = TAIL_HORIZON
-) -> int:
+def _cap_error(what: str, cap: int) -> StabilizationError:
+    return StabilizationError(
+        f"{what} not stabilized within cap {cap}; "
+        "the sum may not converge at this precision"
+    )
+
+
+def _grow_symmetric_window(meets, margin: int, cap: int, what: str, screen) -> int:
     """Smallest window half-width E such that the outermost `margin`
-    values on both ends satisfy `meets` and the `tail` positions beyond
-    them pass `screen`.
+    values on both ends satisfy `meets` and the TAIL_HORIZON positions
+    beyond them pass `screen`.
 
     This is the Bailey step window, whose terms are not affine in the
     summation index.  The degree profile need not be monotone: a term
     far outside a locally converged window can still dip below the
     precision, so a dip found by the screen forces the window out to it.
     Only dips within the horizon are seen."""
-    _check_window_args(margin, cap, "window")
+    _check_window_args(margin, cap, what)
     known: dict[int, bool] = {}
 
     def ok(j):
@@ -138,7 +141,7 @@ def _grow_symmetric_window(
     while e <= cap:
         if all(ok(j) and ok(-j) for j in range(e - margin + 1, e + 1)):
             dip = None
-            for j in range(e + 1, e + tail + 1):
+            for j in range(e + 1, e + TAIL_HORIZON + 1):
                 if not (screen(j) and screen(-j)):
                     dip = j
                     break
@@ -147,27 +150,41 @@ def _grow_symmetric_window(
             e = dip
         else:
             e += 1
-    raise StabilizationError(
-        f"{what} not stabilized within cap {cap}; "
-        "the sum may not converge at this precision"
-    )
+    raise _cap_error(what, cap)
 
 
-def _low_steps(d: int, slope: int, curve: int, n: int | None, prec: int):
-    """The t in [0, n] (n None: every t >= 0) at which the quadratic
-    q(t) = d + slope*t + curve*t*(t-1)/2 is below `prec`; with n None the
-    quadratic must be convex or rise, so that the set is finite."""
+def _first(pred, lo: int, hi: int) -> int:
+    """The least t in [lo, hi] with pred(t), for a pred that is false and
+    then true on [lo, hi] and true at hi."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
-    def q(t):
-        return d + slope * t + curve * (t * (t - 1) // 2)
+
+def _low_ends(d: int, slope: int, curve: int, n: int | None, prec: int):
+    """The least and greatest t in [0, n] (n None: t >= 0) at which
+    q(t) = d + slope*t + curve*t*(t-1)/2 is below `prec`, or None if
+    there is none; with n None the quadratic must be convex or rise, so
+    that the greatest exists.  Each end is found by bisection, in a
+    number of steps logarithmic in t."""
+
+    def low(t):
+        return d + slope * t + curve * (t * (t - 1) // 2) < prec
+
+    def high(t):
+        return not low(t)
 
     if curve < 0:  # concave: q >= prec on one middle interval, if at all
-        lo, hi = 0, n
-        while lo <= hi and q(lo) < prec:
-            lo += 1
-        while hi >= lo and q(hi) < prec:
-            hi -= 1
-        return [*range(lo), *range(hi + 1, n + 1)]
+        lo_low, hi_low = low(0), low(n)
+        if not (lo_low or hi_low):
+            return None
+        first = 0 if lo_low else _first(low, 0, n)
+        last = n if hi_low else _first(high, 0, n) - 1
+        return first, last
     # convex or linear: the low values form one interval around the minimum
     if slope >= 0:
         v = 0
@@ -176,31 +193,38 @@ def _low_steps(d: int, slope: int, curve: int, n: int | None, prec: int):
     else:
         v = -(slope // curve)  # the first t where q stops falling
         v = v if n is None else min(v, n)
-    if q(v) >= prec:
-        return []
-    lo = hi = v
-    while lo > 0 and q(lo - 1) < prec:
-        lo -= 1
-    while (n is None or hi < n) and q(hi + 1) < prec:
-        hi += 1
-    return range(lo, hi + 1)
+    if not low(v):
+        return None
+    if n is None:
+        n = v + 1
+        while low(n):
+            n = 2 * n
+    last = n if low(n) else _first(high, v, n) - 1
+    return _first(low, 0, v), last
 
 
-def low_terms(term, prec: int, what: str = "charge sum") -> list[int]:
-    """Every j with term_degree(*term(j)) < prec, in increasing order.
+def rank1_extent(term, prec: int, margin: int, cap: int, what: str) -> int:
+    """Exact window half-width for the sum over j of the terms
+    term(j) = (charges, pref_h) at precision `prec`: `margin` past the
+    farthest nonzero j with term_degree(*term(j)) < prec, or `margin`
+    when there is none.  The centre j = 0 is always summed, so it never
+    widens the window.
 
-    term(j) = (charges, pref_h) must be affine in j: every charge and the
-    prefactor.  tet_min_degree is one polynomial on each sector cut out
-    by m = 0, e = 0 and m + e = 0, so between consecutive zeros of the
-    m, e and m + e of all factors, and past the outermost ones, the term
-    degree is one exact quadratic in j.  Each such piece is read from
-    three consecutive values and solved for its low values; the zeros
-    themselves (rounded down) are tested one by one.  On an outer ray, a
-    negative second difference, or a line that falls or stays below
-    `prec`, means infinitely many low terms: the sum diverges at this
-    precision and StabilizationError is raised.  The cost is a few
-    degree evaluations per piece plus the size of the answer.
+    Every charge and the prefactor must be affine in j.  tet_min_degree
+    is one polynomial on each sector cut out by m = 0, e = 0 and
+    m + e = 0, so between consecutive zeros of the m, e and m + e of all
+    factors, and past the outermost ones, the term degree is one exact
+    quadratic in j.  Each such piece is read from three consecutive
+    values and only the ends of its low values are solved for; the
+    zeros themselves (rounded down) are tested one by one.  The cost is
+    logarithmic in the answer, so a far low term is found as fast as a
+    near one.  On an outer ray, a negative second difference, or a line
+    that falls or stays below `prec`, means infinitely many low terms:
+    the sum diverges at this precision.  That, and a window wider than
+    `cap`, raise StabilizationError; a margin below 1 or a negative cap
+    raise ValueError.
     """
+    _check_window_args(margin, cap, what)
     (charges0, _), (charges1, _) = term(0), term(1)
     cuts = {0}
     for (m0, e0), (m1, e1) in zip(charges0, charges1):
@@ -212,14 +236,16 @@ def low_terms(term, prec: int, what: str = "charge sum") -> list[int]:
     def degree(j):
         return term_degree(*term(j))
 
-    low = [j for j in cuts if degree(j) < prec]
+    # no piece holds 0, which is a cut, so within a piece |j| is largest
+    # at one of the two ends of its low values
+    far = max((abs(j) for j in cuts if degree(j) < prec), default=0)
     # (first j, direction, last step or None for a ray) of every piece
     pieces = [(a + 1, 1, b - a - 2) for a, b in zip(cuts, cuts[1:]) if b - a > 1]
     pieces += [(cuts[-1] + 1, 1, None), (cuts[0] - 1, -1, None)]
     for j, step, n in pieces:
         # a piece of one or two values reads past its end here, but the
-        # values _low_steps then tests, d and d + slope, are exact and
-        # its answer does not depend on curve
+        # values _low_ends then tests, d and d + slope, are exact, and
+        # every subset of one or two values is an interval
         d = degree(j)
         slope = degree(j + step) - d
         curve = degree(j + 2 * step) - 2 * slope - d
@@ -230,36 +256,19 @@ def low_terms(term, prec: int, what: str = "charge sum") -> list[int]:
                 f"{what} diverges: infinitely many of its terms start "
                 f"below half-exponent {prec}"
             )
-        low += [j + step * t for t in _low_steps(d, slope, curve, n, prec)]
-    return sorted(low)
-
-
-def rank1_extent(term, prec: int, margin: int, what: str) -> int:
-    """Exact window half-width for the sum over j of term(j), as for
-    `low_terms`: `margin` past the farthest nonzero j whose term reaches
-    below `prec`, or `margin` when there is none.  The centre j = 0 is
-    always summed, so it never widens the window."""
-    return margin + max((abs(j) for j in low_terms(term, prec, what) if j), default=0)
-
-
-def _window(term, prec: int, margin: int, cap: int, what: str) -> int:
-    """Exact half-width for the sum over j of the terms
-    term(j) = (charges, pref_h) at precision `prec`."""
-    _check_window_args(margin, cap, "window")
-    extent = rank1_extent(term, prec, margin, what)
-    if extent > cap:
-        raise StabilizationError(
-            f"{what} not stabilized within cap {cap}; "
-            "the sum may not converge at this precision"
-        )
-    return extent
+        ends = _low_ends(d, slope, curve, n, prec)
+        if ends is not None:
+            far = max(far, *(abs(j + step * t) for t in ends))
+    if margin + far > cap:
+        raise _cap_error(what, cap)
+    return margin + far
 
 
 def _window_sum(term, prec, margin, cap, what, min_window=0):
     """The certified window sum of charge_product(*term(j), 1, prec) and
     the window's half-width; `min_window` forces a larger window (used by
     the stability-replay tests)."""
-    extent = _window(term, prec, margin, cap, what)
+    extent = rank1_extent(term, prec, margin, cap, what)
     width = max(extent, min_window)
     total = zero(prec)
     for j in range(-width, width + 1):
@@ -313,7 +322,7 @@ def pentagon_window_extent(
     m1, m2, e1, e2, prec, margin=DEFAULT_MARGIN, cap=DEFAULT_WINDOW_CAP
 ) -> int:
     term = _pentagon_term(m1, m2, e1, e2)
-    return _window(term, prec, margin, cap, "pentagon window")
+    return rank1_extent(term, prec, margin, cap, "pentagon window")
 
 
 def pentagon_check(
@@ -383,7 +392,7 @@ def pentagon_shifted_window_extent(
     m1, m2, e1, e2, e0, prec, margin=DEFAULT_MARGIN, cap=DEFAULT_WINDOW_CAP
 ) -> int:
     term = _pentagon_shifted_term(m1, m2, e1, e2, e0)
-    return _window(term, prec, margin, cap, "shifted-pentagon window")
+    return rank1_extent(term, prec, margin, cap, "shifted-pentagon window")
 
 
 def pentagon_shifted_check(

@@ -14,12 +14,12 @@ half-integer exponents (such as q^(k/2)) are exact; forms used as index
 charges must be integer-valued on the lattice, which the parser checks.
 
 Evaluation sums all points of a cube [-E, E]^rank at full precision.  A
-rank-1 sum gets its half-width exactly, from every lattice point whose
-term reaches below the precision (see `identities.low_terms`), and a
-divergent one raises at once.  A sum of higher rank grows its cube until
-every point on the outer `margin` shells clears the exact term degree,
-and screens a finite number of shells beyond it, so only dips within
-that horizon are seen.  The built-in `ind41` expression is the
+rank-1 sum gets its half-width exactly, from the farthest lattice point
+whose term reaches below the precision (see `identities.rank1_extent`),
+and a divergent one raises at once.  A sum of higher rank grows its cube
+until every point on the outer `margin` shells clears the exact term
+degree, and screens a finite number of shells beyond it, so only dips
+within that horizon are seen.  The built-in `ind41` expression is the
 figure-eight-knot index sum_{k1,k2} I(k1,k2) I(k2,k1).
 """
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .errors import ExprSyntaxError, StabilizationError
-from .identities import charge_product, rank1_extent
+from .identities import _check_window_args, charge_product, rank1_extent
 from .series import QSeries, zero
 from .tetrahedron import tet_min_degree
 
@@ -370,22 +370,19 @@ def eval_expr_with_box(
     cap."""
     rank = expr.rank
     cap = box_cap if box_cap is not None else box_cap_default(rank)
-    if margin < 1:
-        raise ValueError(f"box margin must be at least 1, got {margin}")
-    if cap < 0:
-        raise ValueError(f"box cap must not be negative, got {cap}")
     if rank == 1:
         extent = rank1_extent(
             lambda j: (_point_charges(expr, (j,)), expr.prefactor((j,))),
-            prec, margin, "lattice sum",
+            prec, margin, cap, "lattice sum",
         )
     else:
+        _check_window_args(margin, cap, "box")
         extent = _screened_extent(expr, prec, margin, cap)
-    if extent is None or extent > cap:
-        raise StabilizationError(
-            f"box not stabilized within cap {cap}; "
-            "the lattice sum may not converge at this precision"
-        )
+        if extent is None:
+            raise StabilizationError(
+                f"box not stabilized within cap {cap}; "
+                "the lattice sum may not converge at this precision"
+            )
     total = zero(prec)
     for point in itertools.product(range(-extent, extent + 1), repeat=rank):
         total = total + charge_product(

@@ -1,12 +1,13 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle import naive_pentagon_lhs, naive_pentagon_rhs, same_to_order
 from tetindex.errors import StabilizationError
 from tetindex.identities import (
+    _low_ends,
     compare_series,
     pentagon_check,
     pentagon_lhs,
@@ -15,7 +16,6 @@ from tetindex.identities import (
     pentagon_shifted_lhs,
     pentagon_shifted_rhs,
     pentagon_window_extent,
-    low_terms,
     rank1_extent,
     triality_check,
 )
@@ -152,7 +152,7 @@ def _factors(offset):
     return st.lists(st.tuples(_slope, offset, _slope, offset), min_size=1, max_size=3)
 
 
-def _check_against_scan(factors, pref, prec, margin, horizon):
+def _check_against_scan(factors, pref, prec, margin, cap, horizon):
     def charges(j):
         return tuple((a * j + b, c * j + d) for a, b, c, d in factors)
 
@@ -169,15 +169,20 @@ def _check_against_scan(factors, pref, prec, margin, horizon):
     ) < prec
     if diverges:
         with pytest.raises(StabilizationError, match="diverges"):
-            low_terms(term, prec)
+            rank1_extent(term, prec, margin, cap, "sum")
         return
-    assert low_terms(term, prec) == scan
     want = margin + max((abs(j) for j in scan if j), default=0)
-    assert rank1_extent(term, prec, margin, "sum") == want
+    if want > cap:
+        with pytest.raises(StabilizationError, match="not stabilized"):
+            rank1_extent(term, prec, margin, cap, "sum")
+    else:
+        assert rank1_extent(term, prec, margin, cap, "sum") == want
 
 
-class TestLowTerms:
-    """low_terms against a brute-force scan of the term degree.
+class TestRank1Extent:
+    """rank1_extent against a brute-force scan of the term degree: the
+    window is `margin` past the farthest nonzero low j, and the cap and
+    divergence verdicts agree with the scan.
 
     With slopes in [-3, 3] and offsets up to 300, every zero of an m, e
     or m + e lies within |j| <= 600, and past them each factor's degree
@@ -198,9 +203,10 @@ class TestLowTerms:
         pref=st.tuples(_slope, st.integers(-300, 300)),
         prec=st.integers(-4, 20),
         margin=st.integers(1, 4),
+        cap=st.integers(0, 2000),
     )
-    def test_matches_brute_force(self, factors, pref, prec, margin):
-        _check_against_scan(factors, pref, prec, margin, 2000)
+    def test_matches_brute_force(self, factors, pref, prec, margin, cap):
+        _check_against_scan(factors, pref, prec, margin, cap, 2000)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -208,9 +214,41 @@ class TestLowTerms:
         pref=st.tuples(_slope, st.integers(-12, 12)),
         prec=st.integers(-10, 80),
         margin=st.integers(1, 4),
+        cap=st.integers(0, 400),
     )
-    def test_short_pieces_match_brute_force(self, factors, pref, prec, margin):
-        _check_against_scan(factors, pref, prec, margin, 400)
+    def test_short_pieces_match_brute_force(self, factors, pref, prec, margin, cap):
+        _check_against_scan(factors, pref, prec, margin, cap, 400)
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        d=st.integers(-30, 30),
+        slope=st.integers(-15, 15),
+        curve=st.integers(-4, 4),
+        n=st.none() | st.integers(0, 30),
+        prec=st.integers(-30, 30),
+    )
+    # concave pieces low only at their start, only at their end, at both
+    # ends and nowhere; a convex one low in its middle; a rising ray
+    @example(d=0, slope=5, curve=-1, n=5, prec=3)
+    @example(d=3, slope=0, curve=-1, n=5, prec=0)
+    @example(d=0, slope=5, curve=-2, n=8, prec=3)
+    @example(d=3, slope=1, curve=-1, n=3, prec=0)
+    @example(d=9, slope=-6, curve=2, n=6, prec=3)
+    @example(d=9, slope=-6, curve=2, n=None, prec=3)
+    def test_low_ends_match_brute_force(self, d, slope, curve, n, prec):
+        # one piece alone: the ends of its low values against a scan; a
+        # ray (n None) is convex or rising, and then no low value lies
+        # past t of about 50, so a scan to 2000 is exact
+        if n is None and (curve < 0 or curve == 0 and slope <= 0):
+            return
+        top = 2000 if n is None else n
+        low = [
+            t
+            for t in range(top + 1)
+            if d + slope * t + curve * (t * (t - 1) // 2) < prec
+        ]
+        want = (low[0], low[-1]) if low else None
+        assert _low_ends(d, slope, curve, n, prec) == want
 
     def test_translated_pentagon_window(self):
         # sum over j of I(250 - j, j - 250) is a translate of the sum of
@@ -219,8 +257,9 @@ class TestLowTerms:
         def term(j):
             return ((250 - j, j - 250),), 0
 
-        assert low_terms(term, 8) == list(range(243, 253))
-        assert rank1_extent(term, 8, 3, "sum") == 255
+        assert rank1_extent(term, 8, 3, 300, "sum") == 255
+        with pytest.raises(StabilizationError, match="not stabilized"):
+            rank1_extent(term, 8, 3, 254, "sum")
 
     def test_far_zero_costs_one_piece(self):
         # the zeros of m and m + e sit at j = 10^6; the one low term is
@@ -228,22 +267,42 @@ class TestLowTerms:
         def term(j):
             return ((10**6 - j, j),), 0
 
-        assert low_terms(term, 8) == [10**6]
+        assert rank1_extent(term, 8, 1, 10**7, "sum") == 10**6 + 1
+
+    def test_long_flat_piece_is_solved_not_walked(self):
+        # degree 0 on every j in [0, 10^9] and 2 at j = 10^9 + 1: the
+        # ends of the piece are found by bisection, and the cap is
+        # checked on the answer, without listing 10^9 low terms
+        def term(j):
+            return ((0, j), (j - 10**9, 0)), 0
+
+        assert rank1_extent(term, 2, 3, 10**10, "sum") == 10**9 + 3
+        with pytest.raises(StabilizationError, match="not stabilized"):
+            rank1_extent(term, 2, 3, 48, "sum")
+
+    def test_deep_convex_dip(self):
+        # degree j(j - (2*10^6 - 1)) for j >= 0, below 0 exactly on
+        # 0 < j < 2*10^6 - 1; for j < 0 only the prefactor, -2*10^6*j,
+        # is left, so no low term there
+        def term(j):
+            return ((j, 0),), -2 * 10**6 * j
+
+        assert rank1_extent(term, 0, 2, 10**7, "sum") == 2 * 10**6 - 2 + 2
 
     @pytest.mark.parametrize(
-        "term, prec, low",
+        "term, prec, far",
         [
             # degree j^2 - 5j + 12 for j >= 1: 8 at j = 1, then 6, 6, 8, so
             # the walk must not stop at the first value that clears H = 8
-            (lambda j: (((j, 0),), 12 - 6 * j), 8, [2, 3]),
+            (lambda j: (((j, 0),), 12 - 6 * j), 8, 3),
             # degree j^2 - 8j + 15 for j >= 1: its differences -5, -3, -1,
             # 1 first turn nonnegative at j = 4, where the one low value
             # -1 sits, so the step to the minimum, 2.5, rounds up
-            (lambda j: (((j, 0),), 15 - 9 * j), 0, [4]),
+            (lambda j: (((j, 0),), 15 - 9 * j), 0, 4),
         ],
     )
-    def test_dip_past_the_start_of_a_ray(self, term, prec, low):
-        assert low_terms(term, prec) == low
+    def test_dip_past_the_start_of_a_ray(self, term, prec, far):
+        assert rank1_extent(term, prec, 1, 64, "sum") == 1 + far
 
     @pytest.mark.parametrize(
         "term",
@@ -255,4 +314,4 @@ class TestLowTerms:
     )
     def test_falling_or_flat_tail_diverges(self, term):
         with pytest.raises(StabilizationError, match="diverges"):
-            low_terms(term, 4)
+            rank1_extent(term, 4, 3, 64, "sum")

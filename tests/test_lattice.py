@@ -142,6 +142,13 @@ class TestEval:
         assert extent == 255
         assert s == eval_expr(parse_expr("sum k : I(k, -k)"), 8)
 
+    def test_long_rank1_sum_hits_the_cap_at_once(self):
+        # every k in [0, 10^9] is a low term at H = 2; the box exceeds
+        # the cap, which is found without walking the low terms
+        expr = parse_expr("sum k : I(0,k) * I(k - 1000000000, 0)")
+        with pytest.raises(StabilizationError, match="not stabilized"):
+            eval_expr_with_box(expr, 2)
+
     def test_divergent_rank1_sum_names_divergence(self):
         with pytest.raises(StabilizationError, match="diverges"):
             eval_expr(parse_expr("sum k : q^(-k) * I(0,k)"), 10)
