@@ -2,9 +2,10 @@
 
 The figure-eight-knot index is the rank-2 lattice sum
     sum_{k1,k2} I(k1, k2) I(k2, k1)
-whose first coefficients are 1, -8, -9, 18, 46.  The evaluator grows a
-cube until certified degree bounds show every outside point starts at or
-above the requested order.
+whose first coefficients are 1, -8, -9, 18, 46.  The evaluator bounds
+the term degree from below on boxes of directions, finds every lattice
+point whose term starts below the requested order, and sums only those;
+the box half-width is the farthest of them plus a margin.
 
 Run:  python3 demos/04_knot_index.py
 """

@@ -4,7 +4,8 @@ All precision flags take the bound H in half-units: coefficients are
 reported for every exponent strictly below H/2.
 
 Exit codes: 0 computed/verified, 1 identity mismatch, 2 usage or parse
-error, 3 summation window/box not stabilized.
+error, 3 summation window/box not stabilized (wider than its cap, a
+divergent sum, or a lattice sum that could not be certified).
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("pentagon", parents=[common], help="pentagon identity")
     for name in ("--m1", "--m2", "--e1", "--e2"):
         sp.add_argument(name, type=int, required=True)
-    sp.add_argument("--e0", type=int, default=0)
+    sp.add_argument("--e0", type=int, default=None)
     sp.add_argument("--shifted", action="store_true")
 
     sp = sub.add_parser("bailey", parents=[common], help="Bailey chain verification")
@@ -202,6 +203,9 @@ def run(argv) -> int:
         if value is not None and value < lo:
             print(f"error: {flag} must be at least {lo}", file=sys.stderr)
             return EXIT_USAGE
+    if args.command == "pentagon" and args.e0 is not None and not args.shifted:
+        print("error: --e0 applies only with --shifted", file=sys.stderr)
+        return EXIT_USAGE
 
     meta = {"command": " ".join(["tetindex"] + list(argv)), "prec_half_exp": args.prec}
     record = {"meta": meta}
@@ -219,7 +223,7 @@ def run(argv) -> int:
             record["kind"] = "report"
             if args.shifted:
                 rep = identities.pentagon_shifted_check(
-                    args.m1, args.m2, args.e1, args.e2, args.e0,
+                    args.m1, args.m2, args.e1, args.e2, args.e0 or 0,
                     args.prec, args.margin, args.window_cap,
                 )
             else:

@@ -203,62 +203,85 @@ def _low_ends(d: int, slope: int, curve: int, n: int | None, prec: int):
     return _first(low, 0, v), last
 
 
-def rank1_extent(term, prec: int, margin: int, cap: int, what: str) -> int:
-    """Exact window half-width for the sum over j of the terms
-    term(j) = (charges, pref_h) at precision `prec`: `margin` past the
-    farthest nonzero j with term_degree(*term(j)) < prec, or `margin`
-    when there is none.  The centre j = 0 is always summed, so it never
-    widens the window.
+def _low_runs(value, lines, prec: int):
+    """Disjoint runs (first, last) of t >= 1 that cover every t >= 1
+    with value(t) < prec, or None when there are infinitely many such t.
 
-    Every charge and the prefactor must be affine in j.  tet_min_degree
-    is one polynomial on each sector cut out by m = 0, e = 0 and
-    m + e = 0, so between consecutive zeros of the m, e and m + e of all
-    factors, and past the outermost ones, the term degree is one exact
-    quadratic in j.  Each such piece is read from three consecutive
-    values and only the ends of its low values are solved for; the
-    zeros themselves (rounded down) are tested one by one.  The cost is
-    logarithmic in the answer, so a far low term is found as fast as a
-    near one.  On an outer ray, a negative second difference, or a line
-    that falls or stays below `prec`, means infinitely many low terms:
-    the sum diverges at this precision.  That, and a window wider than
-    `cap`, raise StabilizationError; a margin below 1 or a negative cap
-    raise ValueError.
+    `value` must be one integer quadratic in t between consecutive zeros
+    of the affine functions a*t + b given as (a, b) in `lines`, and past
+    the last of them.  Each such piece is read from three consecutive
+    values and only the ends of its low values are solved for; the zeros
+    themselves (rounded down) are tested one by one.  The cost is
+    logarithmic in the answer, so a far low value is found as fast as a
+    near one.  On the outer ray, a negative second difference, or a line
+    that falls or stays below `prec`, means infinitely many low values.
+    A concave piece's run may cover high values between its low ends.
     """
-    _check_window_args(margin, cap, what)
-    (charges0, _), (charges1, _) = term(0), term(1)
-    cuts = {0}
-    for (m0, e0), (m1, e1) in zip(charges0, charges1):
-        for b, a in ((m0, m1 - m0), (e0, e1 - e0), (m0 + e0, m1 + e1 - m0 - e0)):
-            if a:
-                cuts.add(-b // a)  # the zero, rounded down
-    cuts = sorted(cuts)
-
-    def degree(j):
-        return term_degree(*term(j))
-
-    # no piece holds 0, which is a cut, so within a piece |j| is largest
-    # at one of the two ends of its low values
-    far = max((abs(j) for j in cuts if degree(j) < prec), default=0)
-    # (first j, direction, last step or None for a ray) of every piece
-    pieces = [(a + 1, 1, b - a - 2) for a, b in zip(cuts, cuts[1:]) if b - a > 1]
-    pieces += [(cuts[-1] + 1, 1, None), (cuts[0] - 1, -1, None)]
-    for j, step, n in pieces:
-        # a piece of one or two values reads past its end here, but the
-        # values _low_ends then tests, d and d + slope, are exact, and
-        # every subset of one or two values is an interval
-        d = degree(j)
-        slope = degree(j + step) - d
-        curve = degree(j + 2 * step) - 2 * slope - d
+    cuts = sorted({0, *(-b // a for a, b in lines if a and -b // a > 0)})
+    runs = [(t, t) for t in cuts[1:] if value(t) < prec]
+    # (first t, last step or None for the ray) of every piece
+    pieces = [(a + 1, b - a - 2) for a, b in zip(cuts, cuts[1:]) if b - a > 1]
+    pieces.append((cuts[-1] + 1, None))
+    for t, n in pieces:
+        if n is not None and n < 2:  # too short to read a quadratic from
+            runs += [(j, j) for j in range(t, t + n + 1) if value(j) < prec]
+            continue
+        d = value(t)
+        slope = value(t + 1) - d
+        curve = value(t + 2) - 2 * slope - d
         if n is None and (
             curve < 0 or curve == 0 and (slope < 0 or slope == 0 and d < prec)
         ):
+            return None
+        ends = _low_ends(d, slope, curve, n, prec)
+        if ends is not None:
+            runs.append((t + ends[0], t + ends[1]))
+    return runs
+
+
+def _rank1_far(term, prec: int, what: str) -> int:
+    """The farthest nonzero j with term_degree(*term(j)) < prec, or 0 when
+    there is none; raises StabilizationError when there are infinitely
+    many.  Every charge and the prefactor must be affine in j.
+
+    tet_min_degree is one polynomial on each sector cut out by m = 0,
+    e = 0 and m + e = 0, so on each side of j = 0 the term degree is one
+    exact quadratic between consecutive zeros of the m, e and m + e of
+    all factors, and past the outermost ones: `_low_runs` solves it.
+    """
+    (charges0, _), (charges1, _) = term(0), term(1)
+    lines = []
+    for (m0, e0), (m1, e1) in zip(charges0, charges1):
+        lines += ((m1 - m0, m0), (e1 - e0, e0), (m1 + e1 - m0 - e0, m0 + e0))
+    far = 0
+    for side in (1, -1):
+        runs = _low_runs(
+            lambda t: term_degree(*term(side * t)),
+            [(side * a, b) for a, b in lines],
+            prec,
+        )
+        if runs is None:
             raise StabilizationError(
                 f"{what} diverges: infinitely many of its terms start "
                 f"below half-exponent {prec}"
             )
-        ends = _low_ends(d, slope, curve, n, prec)
-        if ends is not None:
-            far = max(far, *(abs(j + step * t) for t in ends))
+        far = max([far] + [last for _, last in runs])
+    return far
+
+
+def rank1_extent(term, prec: int, margin: int, cap: int, what: str) -> int:
+    """Exact window half-width for the sum over j of the terms
+    term(j) = (charges, pref_h) at precision `prec`: `margin` past the
+    farthest nonzero j with term_degree(*term(j)) < prec, or `margin`
+    when there is none (see `_rank1_far`).  The centre j = 0 is always
+    summed, so it never widens the window.
+
+    A sum with infinitely many low terms diverges at this precision.
+    That, and a window wider than `cap`, raise StabilizationError; a
+    margin below 1 or a negative cap raise ValueError.
+    """
+    _check_window_args(margin, cap, what)
+    far = _rank1_far(term, prec, what)
     if margin + far > cap:
         raise _cap_error(what, cap)
     return margin + far

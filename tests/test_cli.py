@@ -139,6 +139,52 @@ class TestExitCodes:
         code, _, err = invoke(capsys, "ind41", "--prec", "8", "--box-cap", "1")
         assert code == 3 and "not stabilized" in err
 
+    def test_e0_without_shifted_is_two(self, capsys):
+        # --e0 only enters the shifted pentagon; accepting it otherwise
+        # would report a check that never used it
+        code, out, err = invoke(
+            capsys, "pentagon", "--m1", "0", "--m2", "0", "--e1", "0", "--e2", "0",
+            "--e0", "5", "--prec", "8",
+        )
+        assert code == 2 and out == "" and "--e0" in err
+
+    def test_shifted_e0_defaults_to_zero(self, capsys):
+        base = ["pentagon", "--shifted", "--m1", "1", "--m2", "0", "--e1", "1",
+                "--e2", "0", "--prec", "8", "--format", "json"]
+        code, out, _ = invoke(capsys, *base)
+        code0, out0, _ = invoke(capsys, *base, "--e0", "0")
+        assert code == code0 == 0
+        assert json.loads(out)["reports"] == json.loads(out0)["reports"]
+
+    def test_translated_rank2_sum(self, capsys, tmp_path):
+        # a translate of ind41 whose low terms lie about 100 shells out
+        p = tmp_path / "translated.txt"
+        p.write_text("sum a b : I(a - 100, b) * I(b, a - 100)\n")
+        code, out, err = invoke(capsys, "eval", "--file", str(p), "--prec", "6")
+        assert code == 3 and out == "" and "not stabilized" in err
+        code, out, _ = invoke(
+            capsys, "eval", "--file", str(p), "--prec", "6", "--box-cap", "110"
+        )
+        assert code == 0
+        assert out == invoke(capsys, "ind41", "--prec", "6")[1]
+
+    def test_divergent_rank2_sum_is_three(self, capsys, tmp_path):
+        p = tmp_path / "divergent.txt"
+        p.write_text("sum a b : I(a,b)\n")
+        code, out, err = invoke(capsys, "eval", "--file", str(p), "--prec", "6")
+        assert code == 3 and out == "" and "diverges" in err
+
+
+def test_python_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(tetindex.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tetindex", "ind41", "--prec", "10"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        check=False, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "1 - 8*q - 9*q^2 + 18*q^3 + 46*q^4 + O(q^5)"
+
 
 class TestParserReuse:
     def test_second_call_sees_only_its_own_options(self, capsys):

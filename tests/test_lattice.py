@@ -1,13 +1,24 @@
 import itertools
+import operator
 import random
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tetindex.errors import ExprSyntaxError, StabilizationError
-from tetindex.identities import pentagon_rhs
+from tetindex.identities import charge_product, pentagon_rhs
 from tetindex.lattice import (
     IND41_TEXT,
-    _shell,
+    AffineForm,
+    LatticeSumExpr,
+    _box_points,
+    _Certificate,
+    _faces,
+    _low_points,
+    _point_charges,
+    _split,
     box_cap_default,
     eval_expr,
     eval_expr_with_box,
@@ -16,7 +27,8 @@ from tetindex.lattice import (
     load_expr_file,
     parse_expr,
 )
-from tetindex.series import equal_to_order
+from tetindex.series import equal_to_order, zero
+from tetindex.tetrahedron import term_degree, tet_min_degree
 
 
 class TestParse:
@@ -156,11 +168,38 @@ class TestEval:
     @pytest.mark.parametrize("rank", range(1, 5))
     @pytest.mark.parametrize("radius", range(7))
     def test_shell_is_the_cube_boundary(self, rank, radius):
-        points = list(_shell(rank, radius))
+        # the faces, split twice, share out the points of each radius
+        leaves = [
+            leaf
+            for face in _faces(rank)
+            for half in _split(face)
+            for leaf in _split(half)
+        ]
+        points = [p for box in leaves for p in _box_points(box, radius)]
+        if radius == 0:
+            # the origin is summed on its own; both faces of axis 0 hold it
+            points = sorted(set(points))
         cube = itertools.product(range(-radius, radius + 1), repeat=rank)
         want = [p for p in cube if max(map(abs, p)) == radius]
         assert len(points) == len(set(points))
         assert sorted(points) == want
+
+    def test_translated_rank2_sum_is_not_truncated(self):
+        # a translate of ind41 whose low terms lie about 100 shells out,
+        # with no low term near the origin to pull the box towards them
+        expr = parse_expr("sum a b : I(a - 100, b) * I(b, a - 100)")
+        with pytest.raises(StabilizationError, match="not stabilized within cap 48"):
+            eval_expr_with_box(expr, 6)
+        with pytest.raises(StabilizationError, match="not stabilized within cap 103"):
+            eval_expr_with_box(expr, 6, box_cap=103)
+        s, extent = eval_expr_with_box(expr, 6, box_cap=104)
+        assert extent == 104
+        assert s == ind41(6)
+
+    def test_divergent_rank2_sum_names_its_line(self):
+        # I(-k, 0) starts at q^0 for every k >= 0
+        with pytest.raises(StabilizationError, match=r"line j \* \(-1, 0\) diverges"):
+            eval_expr_with_box(parse_expr("sum a b : I(a,b)"), 6)
 
     def test_negated_expression(self):
         e = parse_expr("sum k1 k2 : - I(k1,k2)*I(k2,k1)")
@@ -171,6 +210,113 @@ class TestEval:
         assert box_cap_default(1) == 48
         assert box_cap_default(2) == 48
         assert box_cap_default(3) == 16
+
+
+def _brute_low_points(expr, prec, radius):
+    """Every nonzero point of the cube of the given radius whose term
+    starts below prec, walking each row of the last coordinate."""
+
+    def at_row(form, head):
+        # the form's value at (head, 0) and its step in the last coordinate
+        return form.constant + sum(map(operator.mul, form.coeffs, head)), form.coeffs[-1]
+
+    side = range(-radius, radius + 1)
+    out = []
+    for head in itertools.product(side, repeat=expr.rank - 1):
+        p0, p1 = at_row(expr.prefactor, head)
+        # charges in half-units, halved once
+        rows = [
+            tuple(x // 2 for x in at_row(a, head) + at_row(b, head))
+            for a, b in expr.factors
+        ]
+        for k in side:
+            d = p0 + p1 * k
+            for m0, m1, e0, e1 in rows:
+                d += tet_min_degree(m0 + m1 * k, e0 + e1 * k)
+            if d < prec and (k or any(head)):
+                out.append(head + (k,))
+    return out
+
+
+@st.composite
+def _affine_sums(draw):
+    """Random rank-2 and rank-3 sums: one to three factors with slopes in
+    [-2, 2], offsets up to 30 (rank 2) or 8 (rank 3), and a prefactor in
+    half-units."""
+    rank = draw(st.sampled_from((2, 3)))
+    offset = 30 if rank == 2 else 8
+    slopes = st.lists(st.integers(-2, 2), min_size=rank, max_size=rank)
+
+    def charge():
+        # whole units, stored in half-units
+        return AffineForm(
+            tuple(2 * c for c in draw(slopes)), 2 * draw(st.integers(-offset, offset))
+        )
+
+    factors = tuple(
+        (charge(), charge()) for _ in range(draw(st.integers(1, 3)))
+    )
+    prefactor = AffineForm(tuple(draw(slopes)), draw(st.integers(-4, 4)))
+    expr = LatticeSumExpr(tuple("abc"[:rank]), 1, prefactor, factors)
+    return expr, draw(st.integers(0, 12))
+
+
+class TestCertificate:
+    """The rank >= 2 certificate against a brute-force scan of the cube of
+    radius 120 (rank 2) or 24 (rank 3), far past the 60 and 12 shells
+    that the finite screen it replaced looked beyond its box."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(_affine_sums())
+    @example((parse_expr("sum a b : I(a - 100, b) * I(b, a - 100)"), 6))
+    @example((parse_expr("sum a b c : I(a,b)*I(b,c)*I(c,a)"), 10))
+    def test_low_points_match_brute_force(self, case):
+        expr, prec = case
+        radius = 120 if expr.rank == 2 else 24
+        try:
+            extent, points = _low_points(expr, prec, 3, 10**6)
+        except StabilizationError as exc:
+            line = re.search(r"line j \* \(([-\d, ]+)\) diverges", str(exc))
+            if line is None:
+                # the split budget ran out: no answer, never a wrong one
+                assert "could not certify" in str(exc)
+                return
+            step = [int(c) for c in line.group(1).split(",")]
+
+            def low(j):
+                point = [j * c for c in step]
+                return term_degree(
+                    _point_charges(expr, point), expr.prefactor(point)
+                ) < prec
+
+            # past its last piece boundary the degree on a divergent line
+            # stays below prec on one side
+            n = 10**6
+            assert low(n) and low(n + 1) or low(-n) and low(-n - 1)
+            return
+        assert len(points) == len(set(points))
+        assert extent == 3 + max((max(map(abs, p)) for p in points), default=0)
+        inside = sorted(p for p in points if max(map(abs, p)) <= radius)
+        assert inside == _brute_low_points(expr, prec, radius)
+
+    def test_face_bound_of_ind41(self):
+        # on the face k1 = r, |k2| <= r the first factor is at least
+        # max(0, m, -e) = r and the second at least 0, so the bound is
+        # exactly r and its low radii are 1 to prec - 1
+        cert = _Certificate(parse_expr(IND41_TEXT), 10)
+        runs = cert.runs(next(_faces(2)))
+        assert sorted(r for first, last in runs for r in range(first, last + 1)) == list(
+            range(1, 10)
+        )
+
+    def test_sum_over_low_points_is_the_cube_sum(self):
+        expr = parse_expr("sum a b c : I(a,b)*I(b,c)*I(c,a)")
+        s, extent = eval_expr_with_box(expr, 10)
+        assert extent == 12
+        total = zero(10)
+        for p in itertools.product(range(-extent, extent + 1), repeat=3):
+            total = total + charge_product(_point_charges(expr, p), 0, 1, 10)
+        assert s == total
 
 
 class TestFiles:
