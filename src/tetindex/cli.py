@@ -18,7 +18,7 @@ import sys
 from . import bailey, identities, lattice
 from .errors import ExprSyntaxError, StabilizationError, TetIndexError
 from .identities import CheckReport
-from .series import QSeries, half_exp_str
+from .series import QSeries, format_series, half_exp_str
 from .tetrahedron import tet_index
 
 __all__ = ["run", "main", "series_to_json", "series_from_json"]
@@ -44,34 +44,6 @@ def series_from_json(d: dict) -> QSeries:
     )
 
 
-def _series_to_latex(s: QSeries) -> str:
-    parts = []
-    for i, c in enumerate(s.coeffs):
-        if c == 0:
-            continue
-        h = s.lead + i
-        if h == 0:
-            mono = ""
-        elif h % 2 == 0:
-            e = h // 2
-            mono = "q" if e == 1 else f"q^{{{e}}}"
-        else:
-            mono = f"q^{{{h}/2}}"
-        mag = abs(c)
-        body = mono if mag == 1 and mono else (f"{mag}{mono}" if mono else str(mag))
-        parts.append(("-" if c < 0 else "+", body))
-    if not parts:
-        text = "0"
-    else:
-        sign0, body0 = parts[0]
-        text = ("-" if sign0 == "-" else "") + body0
-        for sg, body in parts[1:]:
-            text += f" {sg} {body}"
-    p = s.prec
-    otail = f"q^{{{p // 2}}}" if p % 2 == 0 else f"q^{{{p}/2}}"
-    return f"{text} + O({otail})"
-
-
 def report_to_json(r: CheckReport) -> dict:
     d = {"verified_to_half_exp": r.verified_to, "holds": r.holds}
     if r.first_mismatch is not None:
@@ -92,31 +64,23 @@ def _report_text(r: CheckReport) -> str:
     )
 
 
-def _emit(record: dict, fmt: str, out) -> None:
+def _emit(meta: dict, result, fmt: str, out) -> None:
+    """Print `result`, a QSeries or a list of CheckReports, as one JSON
+    record with `meta`, as text or as LaTeX."""
+    series = isinstance(result, QSeries)
     if fmt == "json":
+        record = {"meta": meta, "kind": "series" if series else "report"}
+        if series:
+            record["series"] = series_to_json(result)
+        else:
+            record["reports"] = [report_to_json(r) for r in result]
         print(json.dumps(record, indent=2), file=out)
-        return
-    kind = record["kind"]
-    if kind == "series":
-        s = series_from_json(record["series"])
-        print(str(s) if fmt == "text" else _series_to_latex(s), file=out)
+    elif series:
+        print(format_series(result, fmt == "latex"), file=out)
     else:
-        for rep in record["reports"]:
-            r = CheckReport(
-                rep["verified_to_half_exp"],
-                rep["holds"],
-                None
-                if rep["first_mismatch"] is None
-                else (
-                    rep["first_mismatch"]["half_exp"],
-                    int(rep["first_mismatch"]["lhs"]),
-                    int(rep["first_mismatch"]["rhs"]),
-                ),
-            )
+        for r in result:
             line = _report_text(r)
-            if fmt == "latex":
-                line = r"\text{" + line + "}"
-            print(line, file=out)
+            print(r"\text{" + line + "}" if fmt == "latex" else line, file=out)
 
 
 @functools.cache
@@ -136,9 +100,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("text", "json", "latex"), default="text"
     )
-    common.add_argument("--window-cap", type=int, default=identities.DEFAULT_WINDOW_CAP)
-    common.add_argument("--box-cap", type=int, default=None)
-    common.add_argument("--margin", type=int, default=identities.DEFAULT_MARGIN)
+    # truncation flags, only on the subcommands that read them
+    margin = argparse.ArgumentParser(add_help=False)
+    margin.add_argument("--margin", type=int, default=identities.DEFAULT_MARGIN)
 
     p = argparse.ArgumentParser(
         prog="tetindex",
@@ -154,7 +118,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-m", type=int, required=True)
     sp.add_argument("-e", type=int, required=True)
 
-    sp = sub.add_parser("pentagon", parents=[common], help="pentagon identity")
+    sp = sub.add_parser("pentagon", parents=[common, margin], help="pentagon identity")
+    sp.add_argument("--window-cap", type=int, default=identities.DEFAULT_WINDOW_CAP)
     for name in ("--m1", "--m2", "--e1", "--e2"):
         sp.add_argument(name, type=int, required=True)
     sp.add_argument("--e0", type=int, default=None)
@@ -165,10 +130,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--steps", type=str, default="")
     sp.add_argument("--m-range", type=str, default="-3..3")
-    sp = sub.add_parser("eval", parents=[common], help="evaluate an expression file")
+    sp = sub.add_parser("eval", parents=[common, margin], help="evaluate an expression file")
     sp.add_argument("--file", required=True)
+    sp.add_argument("--box-cap", type=int, default=None)
 
-    sub.add_parser("ind41", parents=[common], help="figure-eight-knot index")
+    sp = sub.add_parser("ind41", parents=[common, margin], help="figure-eight-knot index")
+    sp.add_argument("--box-cap", type=int, default=None)
     return p
 
 
@@ -196,9 +163,9 @@ def run(argv) -> int:
     # values that would make a check vacuous or a cap meaningless
     for flag, value, lo in (
         ("--prec", args.prec, 0),
-        ("--margin", args.margin, 1),
-        ("--window-cap", args.window_cap, 0),
-        ("--box-cap", args.box_cap, 0),
+        ("--margin", getattr(args, "margin", None), 1),
+        ("--window-cap", getattr(args, "window_cap", None), 0),
+        ("--box-cap", getattr(args, "box_cap", None), 0),
     ):
         if value is not None and value < lo:
             print(f"error: {flag} must be at least {lo}", file=sys.stderr)
@@ -208,19 +175,12 @@ def run(argv) -> int:
         return EXIT_USAGE
 
     meta = {"command": " ".join(["tetindex"] + list(argv)), "prec_half_exp": args.prec}
-    record = {"meta": meta}
-    code = EXIT_OK
     try:
         if args.command == "tet":
-            record["kind"] = "series"
-            record["series"] = series_to_json(tet_index(args.m, args.e, args.prec))
+            result = tet_index(args.m, args.e, args.prec)
         elif args.command == "triality":
-            record["kind"] = "report"
-            rep = identities.triality_check(args.m, args.e, args.prec)
-            record["reports"] = [report_to_json(rep)]
-            code = EXIT_OK if rep.holds else EXIT_MISMATCH
+            result = [identities.triality_check(args.m, args.e, args.prec)]
         elif args.command == "pentagon":
-            record["kind"] = "report"
             if args.shifted:
                 rep = identities.pentagon_shifted_check(
                     args.m1, args.m2, args.e1, args.e2, args.e0 or 0,
@@ -232,32 +192,25 @@ def run(argv) -> int:
                     args.prec, args.margin, args.window_cap,
                 )
             meta["window"] = rep.window
-            record["reports"] = [report_to_json(rep)]
-            code = EXIT_OK if rep.holds else EXIT_MISMATCH
+            result = [rep]
         elif args.command == "bailey":
-            record["kind"] = "report"
             state = bailey.bailey_seed_delta(args.n0, args.t)
             m_range = _parse_range(args.m_range)
-            reports = [bailey.bailey_verify(state, m_range, args.prec)]
+            result = [bailey.bailey_verify(state, m_range, args.prec)]
             extents = dict(state.window_extents)
             for s in _parse_steps(args.steps):
                 state = bailey.bailey_step(state, s)
-                reports.append(bailey.bailey_verify(state, m_range, args.prec))
+                result.append(bailey.bailey_verify(state, m_range, args.prec))
                 extents.update(state.window_extents)
-            record["reports"] = [report_to_json(r) for r in reports]
             meta["window"] = max(extents.values(), default=0)
-            code = EXIT_OK if all(r.holds for r in reports) else EXIT_MISMATCH
-        elif args.command in ("eval", "ind41"):
-            record["kind"] = "series"
+        else:
             if args.command == "eval":
                 expr = lattice.load_expr_file(args.file)
             else:
                 expr = lattice.parse_expr(lattice.IND41_TEXT)
-            s, extent = lattice.eval_expr_with_box(
+            result, meta["box"] = lattice.eval_expr_with_box(
                 expr, args.prec, args.margin, args.box_cap
             )
-            record["series"] = series_to_json(s)
-            meta["box"] = extent
     except ExprSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -268,8 +221,10 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    _emit(record, args.format, sys.stdout)
-    return code
+    _emit(meta, result, args.format, sys.stdout)
+    if isinstance(result, QSeries) or all(r.holds for r in result):
+        return EXIT_OK
+    return EXIT_MISMATCH
 
 
 def main() -> None:

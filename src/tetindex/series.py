@@ -39,6 +39,7 @@ __all__ = [
     "qpoch",
     "equal_to_order",
     "half_exp_str",
+    "format_series",
 ]
 
 # products whose operands both have at least this many coefficients go
@@ -181,30 +182,7 @@ class QSeries:
         return _from_array(0, out, n)
 
     def __str__(self) -> str:
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            parts.append((self.lead + i, c))
-        if not parts:
-            body = "0"
-        else:
-            chunks = []
-            for idx, (h, c) in enumerate(parts):
-                mono = _mono_str(h)
-                mag = abs(c)
-                if mono == "1":
-                    text = str(mag)
-                elif mag == 1:
-                    text = mono
-                else:
-                    text = f"{mag}*{mono}"
-                if idx == 0:
-                    chunks.append(("-" if c < 0 else "") + text)
-                else:
-                    chunks.append(("- " if c < 0 else "+ ") + text)
-            body = " ".join(chunks)
-        return f"{body} + O({_mono_str(self.prec, big_o=True)})"
+        return format_series(self)
 
 
 def _from_array(lead: int, out: list[int], prec: int) -> QSeries:
@@ -265,20 +243,39 @@ def _unpack(value: int, m: int, bits: int, ones: int) -> list[int]:
     ]
 
 
-def _mono_str(h: int, big_o: bool = False) -> str:
-    if h == 0:
-        return "1"
-    if h % 2 == 0:
-        e = h // 2
-        if e == 1:
-            return "q"
-        return f"q^{e}" if e > 0 else f"q^({e})"
-    return f"q^({h}/2)"
-
-
 def half_exp_str(h: int) -> str:
     """Human-readable exponent h/2: '3', '-1/2', ..."""
     return str(h // 2) if h % 2 == 0 else f"{h}/2"
+
+
+def format_series(s: QSeries, latex: bool = False) -> str:
+    """The series as text, `1 - 8*q + q^(3/2) + O(q^2)`, or as LaTeX,
+    `1 - 8q + q^{3/2} + O(q^{2})`."""
+
+    def mono(h):
+        x = half_exp_str(h)
+        if latex:
+            return f"q^{{{x}}}"
+        if h == 0:
+            return "1"
+        if h == 2:
+            return "q"
+        return f"q^{x}" if x.isdigit() else f"q^({x})"
+
+    terms = []
+    for h, c in enumerate(s.coeffs, s.lead):
+        if not c:
+            continue
+        body = str(abs(c))
+        if h:
+            body = "q" if h == 2 else mono(h)
+            if abs(c) != 1:
+                body = f"{abs(c)}{'' if latex else '*'}{body}"
+        if terms:
+            terms.append(f"{'-' if c < 0 else '+'} {body}")
+        else:
+            terms.append(f"-{body}" if c < 0 else body)
+    return f"{' '.join(terms) or '0'} + O({mono(s.prec)})"
 
 
 def zero(prec: int) -> QSeries:

@@ -54,6 +54,25 @@ class TestTet:
         assert code == 0
         assert "q^{" in out and "O(" in out
 
+    @pytest.mark.parametrize(
+        "s, text, latex",
+        [
+            (QSeries(-3, (1, 0, -2, 5, 0, 1, 0), 4),
+             "q^(-3/2) - 2*q^(-1/2) + 5 + q + O(q^2)",
+             "q^{-3/2} - 2q^{-1/2} + 5 + q + O(q^{2})"),
+            (QSeries(-4, (-1, 0, 0, 0, 0, -7), 2), "-q^(-2) - 7*q^(1/2) + O(q)",
+             "-q^{-2} - 7q^{1/2} + O(q^{1})"),
+            (QSeries(0, (), 0), "0 + O(1)", "0 + O(q^{0})"),
+            (QSeries(5, (), 5), "0 + O(q^(5/2))", "0 + O(q^{5/2})"),
+        ],
+    )
+    def test_text_and_latex_styles(self, capsys, monkeypatch, s, text, latex):
+        monkeypatch.setattr(cli, "tet_index", lambda m, e, prec: s)
+        for fmt, want in (("text", text), ("latex", latex)):
+            code, out, _ = invoke(capsys, "tet", "-m", "0", "-e", "0", "--prec", "8",
+                                  "--format", fmt)
+            assert code == 0 and out == want + "\n"
+
     def test_formats_agree_on_series(self, capsys):
         args = ("tet", "-m", "0", "-e", "-1", "--prec", "10")
         _, text_out, _ = invoke(capsys, *args)
@@ -126,6 +145,21 @@ class TestExitCodes:
     def test_negative_cap_is_two(self, capsys, argv):
         code, out, err = invoke(capsys, *argv, "--prec", "8")
         assert code == 2 and out == "" and "cap" in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("bailey", "--n0", "0", "--t", "1", "--window-cap", "1", "--margin", "40"),
+             "--window-cap 1 --margin 40"),
+            (("tet", "-m", "1", "-e", "0", "--box-cap", "0"), "--box-cap"),
+            (("ind41", "--window-cap", "0"), "--window-cap"),
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_two(self, capsys, argv, flag):
+        # a truncation flag is accepted only where it is read; elsewhere
+        # it would be ignored without a word
+        code, out, err = invoke(capsys, *argv, "--prec", "6")
+        assert code == 2 and out == "" and f"unrecognized arguments: {flag}" in err
 
     def test_unstable_window_is_three(self, capsys):
         code, _, err = invoke(

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from oracle import naive_pentagon_lhs, naive_pentagon_rhs, same_to_order
 from tetindex.errors import StabilizationError
 from tetindex.identities import (
-    _low_ends,
     compare_series,
     pentagon_check,
     pentagon_lhs,
@@ -16,11 +15,19 @@ from tetindex.identities import (
     pentagon_shifted_lhs,
     pentagon_shifted_rhs,
     pentagon_window_extent,
-    rank1_extent,
     triality_check,
 )
+from tetindex.lattice import (
+    AffineForm,
+    LatticeSumExpr,
+    _low_ends,
+    _rank1_window,
+    eval_expr,
+    eval_expr_with_box,
+    rank1_extent,
+)
 from tetindex.series import equal_to_order, monomial, one
-from tetindex.tetrahedron import tet_index
+from tetindex.tetrahedron import term_degree, tet_index
 
 
 class TestCompare:
@@ -89,6 +96,17 @@ class TestPentagon:
     def test_window_cap_errors_loudly(self):
         with pytest.raises(StabilizationError):
             pentagon_rhs(0, 0, 0, 0, 8, cap=0)
+
+    @pytest.mark.parametrize(
+        "rhs, args, what",
+        [
+            (pentagon_rhs, (0, 0, 0, 0), "pentagon window"),
+            (pentagon_shifted_rhs, (0, 0, 0, 0, 1), "shifted-pentagon window"),
+        ],
+    )
+    def test_cap_error_names_the_window(self, rhs, args, what):
+        with pytest.raises(StabilizationError, match=f"^{what} not stabilized within cap 0"):
+            rhs(*args, 8, cap=0)
 
     def test_degenerate_precision_vacuous(self):
         assert pentagon_check(2, 2, 2, 2, 0).holds
@@ -179,6 +197,27 @@ def _check_against_scan(factors, pref, prec, margin, cap, horizon):
         assert rank1_extent(term, prec, margin, cap, "sum") == want
 
 
+def _rank1_expr(factors, pref):
+    """The term of `_check_against_scan` as a rank-1 lattice sum: charges
+    in whole units, the prefactor in half-units."""
+    return LatticeSumExpr(
+        ("j",), 1, AffineForm((pref[0],), pref[1]),
+        tuple((AffineForm((2 * a,), 2 * b), AffineForm((2 * c,), 2 * d))
+              for a, b, c, d in factors),
+    )
+
+
+def _check_low_terms_sum(factors, pref, prec, margin, cap):
+    # the evaluator sums the origin and the low terms of its runs only;
+    # every term of the full window must add up to the same series
+    expr = _rank1_expr(factors, pref)
+    try:
+        s, extent = eval_expr_with_box(expr, prec, margin, cap)
+    except StabilizationError:
+        return  # the verdicts are checked against the scan above
+    assert s == eval_expr(expr, prec, margin, cap, min_box=extent + 1)
+
+
 class TestRank1Extent:
     """rank1_extent against a brute-force scan of the term degree: the
     window is `margin` past the farthest nonzero low j, and the cap and
@@ -218,6 +257,40 @@ class TestRank1Extent:
     )
     def test_short_pieces_match_brute_force(self, factors, pref, prec, margin, cap):
         _check_against_scan(factors, pref, prec, margin, cap, 400)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        factors=_factors(st.integers(-300, 300)),
+        pref=st.tuples(_slope, st.integers(-300, 300)),
+        prec=st.integers(-4, 20),
+        margin=st.integers(1, 4),
+    )
+    def test_low_terms_sum_is_the_window_sum(self, factors, pref, prec, margin):
+        _check_low_terms_sum(factors, pref, prec, margin, 2000)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        factors=_factors(st.integers(-12, 12)),
+        pref=st.tuples(_slope, st.integers(-12, 12)),
+        prec=st.integers(-10, 40),
+        margin=st.integers(1, 4),
+    )
+    # a concave piece whose run (1, 3) covers the high term at j = 2
+    @example(factors=[(1, -4, 3, 2)], pref=(2, 1), prec=19, margin=3)
+    def test_short_pieces_low_terms_sum_is_the_window_sum(
+        self, factors, pref, prec, margin
+    ):
+        _check_low_terms_sum(factors, pref, prec, margin, 400)
+
+    def test_concave_run_covers_a_high_term(self):
+        # keeps the example above meaningful: the run is walked, and its
+        # high term is left out of the sum
+        def term(j):
+            return ((j - 4, 3 * j + 2),), 2 * j + 1
+
+        _, runs = _rank1_window(term, 19, 3, 400, "sum")
+        assert (1, 1, 3) in runs
+        assert [term_degree(*term(j)) < 19 for j in (1, 2, 3)] == [True, False, True]
 
     @settings(max_examples=600, deadline=None)
     @given(

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tetindex.errors import ExprSyntaxError, StabilizationError
-from tetindex.identities import charge_product, pentagon_rhs
+from tetindex.identities import pentagon_rhs
 from tetindex.lattice import (
     IND41_TEXT,
     AffineForm,
@@ -17,9 +17,9 @@ from tetindex.lattice import (
     _Certificate,
     _faces,
     _low_points,
-    _point_charges,
     _split,
     box_cap_default,
+    charge_product,
     eval_expr,
     eval_expr_with_box,
     format_expr,
@@ -212,6 +212,12 @@ class TestEval:
         assert box_cap_default(3) == 16
 
 
+def _charges(expr, point):
+    """The (m, e) of every factor at a lattice point, from the forms in
+    half-units."""
+    return tuple((a(point) // 2, b(point) // 2) for a, b in expr.factors)
+
+
 def _brute_low_points(expr, prec, radius):
     """Every nonzero point of the cube of the given radius whose term
     starts below prec, walking each row of the last coordinate."""
@@ -285,9 +291,7 @@ class TestCertificate:
 
             def low(j):
                 point = [j * c for c in step]
-                return term_degree(
-                    _point_charges(expr, point), expr.prefactor(point)
-                ) < prec
+                return term_degree(_charges(expr, point), expr.prefactor(point)) < prec
 
             # past its last piece boundary the degree on a divergent line
             # stays below prec on one side
@@ -315,7 +319,7 @@ class TestCertificate:
         assert extent == 12
         total = zero(10)
         for p in itertools.product(range(-extent, extent + 1), repeat=3):
-            total = total + charge_product(_point_charges(expr, p), 0, 1, 10)
+            total = total + charge_product(_charges(expr, p), 0, 1, 10)
         assert s == total
 
 
