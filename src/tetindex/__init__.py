@@ -22,6 +22,7 @@ from .errors import (
 )
 from .identities import (
     CheckReport,
+    duality_check,
     pentagon_check,
     pentagon_lhs,
     pentagon_rhs,
@@ -58,6 +59,7 @@ __all__ = [
     "tet_min_degree",
     "CheckReport",
     "triality_check",
+    "duality_check",
     "pentagon_lhs",
     "pentagon_rhs",
     "pentagon_check",

@@ -658,9 +658,9 @@ def _low_points(expr: LatticeSumExpr, prec: int, margin: int, cap: int,
     points, it is split further to tighten its radii, and the points at
     the radii of its runs are tested one by one.  A divergent sum, a
     budget that runs out before every box is certified, and a low point
-    past `cap - margin` raise StabilizationError."""
-    if margin > cap:
-        raise _cap_error(what, cap)
+    past `cap - margin` raise StabilizationError; divergence is looked
+    for before the cap, so a divergent sum is named as such under any
+    cap."""
     cert = _Certificate(expr, prec)
     budget = SPLIT_BUDGET
     pending, accepted = deque(_faces(expr.rank)), []
@@ -678,6 +678,8 @@ def _low_points(expr: LatticeSumExpr, prec: int, margin: int, cap: int,
             )
         budget -= 1
         pending += _split(box)
+    if margin > cap:
+        raise _cap_error(what, cap)
 
     far, points = 0, []
     while accepted:

@@ -19,7 +19,8 @@ Arithmetic cost:
 - `inverse` solves the triangular recursion over the nonzero
   coefficients of the divisor only.  (q;q)_n is sparse: by Euler's
   pentagonal theorem (q;q)_inf has O(sqrt(H)) nonzero coefficients below
-  q^H, so inverting it costs O(H sqrt(H)), not O(H^2).
+  q^H, so inverting it costs O(H sqrt(H)), not O(H^2).  `extend_inverse`
+  resumes the recursion from an inverse known to a lower precision.
 - `qpoch` memoizes (q;q)_k for every k and builds (q;q)_n from the
   highest one cached, one shift-and-subtract per factor.
 """
@@ -157,32 +158,52 @@ class QSeries:
 
     def inverse(self) -> QSeries:
         """Multiplicative inverse; requires lead 0 and constant term +-1."""
-        if not self.coeffs or self.lead != 0:
-            raise ValueError("inverse requires a series with lead 0")
-        a0 = self.coeffs[0]
-        if a0 not in (1, -1):
-            raise ValueError(
-                "inverse requires constant term +1 or -1 "
-                "(anything else forces rational coefficients)"
-            )
-        n = self.prec
-        terms = [(j, aj) for j, aj in enumerate(self.coeffs) if j and aj]
-        # with every exponent of the divisor a multiple of `step`, so is
-        # every exponent of the inverse; the others stay zero
-        step = gcd(*(j for j, _ in terms)) or n
-        out = [0] * n
-        out[0] = a0
-        for k in range(step, n, step):
-            acc = 0
-            for j, aj in terms:
-                if j > k:
-                    break
-                acc += aj * out[k - j]
-            out[k] = -a0 * acc
-        return _from_array(0, out, n)
+        return _solve_inverse(self, None)
+
+    def extend_inverse(self, known: QSeries) -> QSeries:
+        """The inverse of self, resumed from `known`, its inverse to a
+        lower precision.  Coefficient k of the recursion depends only on
+        the lower coefficients of the inverse and on those of self, and
+        neither changes with the precision: the known ones are kept and
+        only the new ones are solved."""
+        return _solve_inverse(self, known)
 
     def __str__(self) -> str:
         return format_series(self)
+
+
+def _solve_inverse(a: QSeries, known: QSeries | None) -> QSeries:
+    """1/a by the triangular recursion over the nonzero coefficients of
+    a, starting past the coefficients of `known` (1/a to a lower
+    precision) if given."""
+    if not a.coeffs or a.lead != 0:
+        raise ValueError("inverse requires a series with lead 0")
+    a0 = a.coeffs[0]
+    if a0 not in (1, -1):
+        raise ValueError(
+            "inverse requires constant term +1 or -1 "
+            "(anything else forces rational coefficients)"
+        )
+    n = a.prec
+    terms = [(j, aj) for j, aj in enumerate(a.coeffs) if j and aj]
+    # with every exponent of the divisor a multiple of `step`, so is
+    # every exponent of the inverse; the others stay zero
+    step = gcd(*(j for j, _ in terms)) or n
+    out = [0] * n
+    out[0], start = a0, step
+    if known is not None:
+        if not known.coeffs or known.lead != 0 or known.prec > n:
+            raise ValueError("a resumed inverse must start at lead 0 below prec")
+        out[: known.prec] = known.coeffs
+        start = -(-known.prec // step) * step
+    for k in range(start, n, step):
+        acc = 0
+        for j, aj in terms:
+            if j > k:
+                break
+            acc += aj * out[k - j]
+        out[k] = -a0 * acc
+    return _from_array(0, out, n)
 
 
 def _from_array(lead: int, out: list[int], prec: int) -> QSeries:

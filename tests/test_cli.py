@@ -208,6 +208,16 @@ class TestExitCodes:
         code, out, err = invoke(capsys, "eval", "--file", str(p), "--prec", "6")
         assert code == 3 and out == "" and "diverges" in err
 
+    def test_divergence_is_named_before_the_cap(self, capsys, tmp_path):
+        # a box cap below the margin must not hide the divergent line
+        p = tmp_path / "divergent.txt"
+        p.write_text("sum a b : I(a,b)\n")
+        code, out, err = invoke(
+            capsys, "eval", "--file", str(p), "--prec", "6", "--box-cap", "2"
+        )
+        assert code == 3 and out == ""
+        assert "diverges" in err and "not stabilized" not in err
+
 
 def test_python_m_runs_the_cli():
     src = os.path.dirname(os.path.dirname(tetindex.__file__))

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle import naive_pentagon_lhs, naive_pentagon_rhs, same_to_order
+from oracle import naive_pentagon_lhs, naive_pentagon_rhs, naive_tet_index, same_to_order
+from tetindex import tetrahedron
 from tetindex.errors import StabilizationError
 from tetindex.identities import (
     compare_series,
+    duality_check,
     pentagon_check,
     pentagon_lhs,
     pentagon_rhs,
@@ -27,7 +29,7 @@ from tetindex.lattice import (
     rank1_extent,
 )
 from tetindex.series import equal_to_order, monomial, one
-from tetindex.tetrahedron import term_degree, tet_index
+from tetindex.tetrahedron import clear_caches, term_degree, tet_index
 
 
 class TestCompare:
@@ -57,6 +59,57 @@ class TestTriality:
 
     def test_degenerate_precision_vacuous(self):
         rep = triality_check(5, -5, 0)
+        assert rep.holds and rep.verified_to == 0
+
+    def test_sides_are_independent_direct_sums(self):
+        # from cold caches, each side is summed under its own charge key
+        # and nothing else is: no side is derived from another member
+        m, e, prec = 3, -1, 24
+        clear_caches()
+        assert triality_check(m, e, prec).holds
+        cache = tetrahedron._index_cache
+        want = {(m, e): prec, (-e - m, m): prec - m, (e, -e - m): prec + e}
+        assert {key: s.prec for key, s in cache.items()} == want
+
+    def test_a_wrong_side_is_caught(self):
+        m, e, prec = 3, -1, 24
+        for key, p in [((m, e), prec), ((-e - m, m), prec - m), ((e, -e - m), prec + e)]:
+            clear_caches()
+            true = tetrahedron._direct(*key, p)
+            tetrahedron._index_cache[key] = true + monomial(1, p - 1, p)
+            rep = triality_check(m, e, prec)
+            assert not rep.holds and rep.first_mismatch[0] == prec - 1
+        clear_caches()
+
+
+class TestDuality:
+    @pytest.mark.parametrize("m", range(-5, 6))
+    def test_grid_against_oracle(self, m):
+        for e in range(-5, 6):
+            assert duality_check(m, e, 40).holds
+            want = naive_tet_index(m, e, 40)
+            assert want == naive_tet_index(-e, -m, 40)
+            assert same_to_order(want, tet_index(-e, -m, 40), 40)
+
+    def test_sides_are_independent_direct_sums(self):
+        clear_caches()
+        assert duality_check(2, 3, 20).holds
+        assert {k: s.prec for k, s in tetrahedron._index_cache.items()} == {
+            (2, 3): 20, (-3, -2): 20,
+        }
+
+    def test_a_wrong_side_is_caught(self):
+        for key in [(2, 3), (-3, -2)]:
+            clear_caches()
+            tetrahedron._index_cache[key] = (
+                tetrahedron._direct(*key, 20) + monomial(-1, 19, 20)
+            )
+            rep = duality_check(2, 3, 20)
+            assert not rep.holds and rep.first_mismatch[0] == 19
+        clear_caches()
+
+    def test_degenerate_precision_vacuous(self):
+        rep = duality_check(4, -1, 0)
         assert rep.holds and rep.verified_to == 0
 
 
@@ -170,6 +223,25 @@ def _factors(offset):
     return st.lists(st.tuples(_slope, offset, _slope, offset), min_size=1, max_size=3)
 
 
+@st.composite
+def _low_term_off_origin(draw):
+    """(factors, pref, prec, j0): a rank-1 term of the `_factors` shape
+    with a low term at j0 != 0 by construction.  Every charge is at most
+    2 in size at j0 and H lies above that term's degree; slopes stay in
+    [-3, 3] and offsets below 300, as in the wide distribution."""
+    j0 = draw(st.integers(-96, 96).filter(bool))
+    small = st.integers(-2, 2)
+    factors = [
+        (a, m - a * j0, c, e - c * j0)
+        for a, m, c, e in draw(
+            st.lists(st.tuples(_slope, small, _slope, small), min_size=1, max_size=3)
+        )
+    ]
+    slope, h0 = draw(_slope), draw(st.integers(-8, 8))
+    degree = h0 + sum(_max_form(b + a * j0, d + c * j0) for a, b, c, d in factors)
+    return factors, (slope, h0 - slope * j0), degree + draw(st.integers(1, 12)), j0
+
+
 def _check_against_scan(factors, pref, prec, margin, cap, horizon):
     def charges(j):
         return tuple((a * j + b, c * j + d) for a, b, c, d in factors)
@@ -247,6 +319,14 @@ class TestRank1Extent:
     def test_matches_brute_force(self, factors, pref, prec, margin, cap):
         _check_against_scan(factors, pref, prec, margin, cap, 2000)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        term=_low_term_off_origin(), margin=st.integers(1, 4), cap=st.integers(0, 2000)
+    )
+    def test_low_term_off_origin_matches_brute_force(self, term, margin, cap):
+        factors, pref, prec, _ = term
+        _check_against_scan(factors, pref, prec, margin, cap, 2000)
+
     @settings(max_examples=300, deadline=None)
     @given(
         factors=_factors(st.integers(-12, 12)),
@@ -267,6 +347,17 @@ class TestRank1Extent:
     )
     def test_low_terms_sum_is_the_window_sum(self, factors, pref, prec, margin):
         _check_low_terms_sum(factors, pref, prec, margin, 2000)
+
+    @settings(max_examples=60, deadline=None)
+    @given(term=_low_term_off_origin(), margin=st.integers(1, 4))
+    def test_low_term_off_origin_sum_is_the_window_sum(self, term, margin):
+        factors, pref, prec, j0 = term
+        _check_low_terms_sum(factors, pref, prec, margin, 2000)
+        try:
+            _, extent = eval_expr_with_box(_rank1_expr(factors, pref), prec, margin, 2000)
+        except StabilizationError:
+            return
+        assert extent >= margin + abs(j0)
 
     @settings(max_examples=200, deadline=None)
     @given(

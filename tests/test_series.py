@@ -201,6 +201,25 @@ class TestInverse:
     def test_long_inverse_against_oracle(self, a):
         assert same_to_order(dict_inv(series_to_dict(a), a.prec), a.inverse(), a.prec)
 
+    @settings(max_examples=150, deadline=None)
+    @given(long_series(lead=0, unit=True), st.integers(1, 121))
+    def test_extended_inverse_equals_cold_inverse(self, a, cut):
+        # resumed from any shorter inverse, including a step-aligned one
+        known = a.truncated(min(cut, a.prec)).inverse()
+        assert a.extend_inverse(known) == a.inverse()
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 40])
+    def test_extended_row_equals_cold_row(self, n):
+        for lo, hi in [(1, 2), (7, 160), (40, 41), (160, 160)]:
+            row = qpoch(n, hi).extend_inverse(qpoch(n, lo).inverse())
+            assert row == qpoch(n, hi).inverse()
+
+    def test_extension_rejects_a_foreign_prefix(self):
+        with pytest.raises(ValueError):
+            qpoch(3, 10).extend_inverse(qpoch(3, 12).inverse())
+        with pytest.raises(ValueError):
+            qpoch(3, 10).extend_inverse(zero(0))
+
 
 class TestEqualToOrder:
     def test_agreement(self):

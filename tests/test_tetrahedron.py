@@ -1,10 +1,11 @@
+import functools
 import random
 
 import pytest
 
 from oracle import naive_min_degree, naive_tet_index, same_to_order
 from tetindex import series, tetrahedron
-from tetindex.series import equal_to_order
+from tetindex.series import equal_to_order, qpoch
 from tetindex.tetrahedron import (
     clear_caches,
     min_degree_bound,
@@ -127,3 +128,83 @@ class TestCacheConsistency:
         lo = tet_index(1, 1, 10)
         assert equal_to_order(hi, lo, 10)
         assert lo.prec == 10
+
+
+@functools.lru_cache(maxsize=None)
+def _naive(m, e, prec):
+    return naive_tet_index(m, e, prec)
+
+
+def _orbit(m, e):
+    """The six members (m', e') of the duality/triality orbit of (m, e),
+    each with the shift h of I(m, e) = (-1)^h q^(h/2) I(m', e')."""
+    return [
+        ((m, e), 0), ((-e, -m), 0),
+        ((-e - m, m), m), ((-m, e + m), m),
+        ((e, -e - m), -e), ((e + m, -e), -e),
+    ]
+
+
+_ORBIT_CHARGES = [(3, -1), (2, 2), (4, -6), (1, -5), (-3, 5), (5, 0), (-2, -2)]
+
+
+class TestOrbit:
+    @pytest.mark.parametrize("m,e", _ORBIT_CHARGES)
+    def test_orbit_relations_hold_in_the_oracle(self, m, e):
+        # the relations the kernel derives charges by, checked on the
+        # package-free reference alone
+        prec = 30
+        want = _naive(m, e, prec)
+        for (a, b), h in _orbit(m, e):
+            sign = -1 if h % 2 else 1
+            got = {k + h: sign * c for k, c in _naive(a, b, prec - h).items()}
+            assert got == want
+
+    def test_grid_from_cold_caches_in_shuffled_order(self):
+        clear_caches()
+        grid = [(m, e) for m in range(-8, 9) for e in range(-8, 9)]
+        random.Random(8).shuffle(grid)
+        for m, e in grid:
+            s = tet_index(m, e, 160)
+            assert s.prec == 160
+            assert same_to_order(naive_tet_index(m, e, 160), s, 160)
+
+    @pytest.mark.parametrize("m,e", _ORBIT_CHARGES)
+    def test_mixed_precision_across_an_orbit(self, m, e):
+        # a member first, then the charge at the member's precision moved
+        # by +-shift, and the reverse; every answer at its own precision
+        p = 30
+        for (a, b), h in _orbit(m, e):
+            for d in (h, -h):
+                orders = [((a, b, p), (m, e, p + d)), ((m, e, p), (a, b, p + d))]
+                for first, then in orders:
+                    clear_caches()
+                    for x, y, prec in (first, then):
+                        s = tet_index(x, y, prec)
+                        assert s.prec == prec
+                        assert same_to_order(_naive(x, y, prec), s, prec)
+
+    def test_only_direct_sums_are_cached(self):
+        # I(3, -1) is derived from I(-3, 2), which alone is summed
+        clear_caches()
+        s = tet_index(3, -1, 30)
+        assert set(tetrahedron._index_cache) == {(-3, 2)}
+        assert tetrahedron._index_cache[(-3, 2)].prec == 27
+        assert same_to_order(_naive(3, -1, 30), s, 30)
+
+    def test_steeper_dual_is_chosen(self):
+        # I(-1, 4) and its dual I(-4, 1) both sum without cancellation;
+        # the dual's leads climb faster
+        clear_caches()
+        tet_index(-1, 4, 20)
+        assert set(tetrahedron._index_cache) == {(-4, 1)}
+
+    def test_extended_rows_equal_cold_rows(self):
+        clear_caches()
+        tet_index(0, 0, 40)
+        low = dict(tetrahedron._row_cache)
+        tet_index(0, 0, 160)
+        grown = [n for n in low if tetrahedron._row_cache[n].prec > low[n].prec]
+        assert grown
+        for n, row in tetrahedron._row_cache.items():
+            assert row == qpoch(n, row.prec).inverse()
