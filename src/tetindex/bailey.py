@@ -11,11 +11,15 @@ The step transform multiplies alpha_n pointwise by
     (-1)^n q^(-n/2) I(3t - s + n, 2s - t - n)
 and sends beta through an infinite charge sum that is truncated by a
 symmetric window grown until `margin` values on each end clear the
-precision, with a tail screened to a finite horizon past it.  The
-lower bound needed for beta's minimal degree is obtained by recursively
-bounding the transform's terms; where the scan hits its cap the current
-minimum is used and a warning is emitted (the stability-replay tests
-guard this fallback).
+precision, with a tail screened to a finite horizon past it.  Window
+and tail are decided by one lower bound for beta's minimal degree,
+obtained by recursively bounding the transform's terms in a scan that
+stops once `_LB_MARGIN` terms on each side clear the target.  That stop
+rule is a heuristic, not a certificate: where the scan hits its cap the
+current minimum is used and a RuntimeWarning is emitted, but a dip just
+past an early stop is missed without one.  One finite kernel sum,
+sum_n I(t, n+m) alpha_n, defines beta at depth 0 and is the right-hand
+side `bailey_verify` checks.
 """
 
 from __future__ import annotations
@@ -68,12 +72,11 @@ class BaileyState:
         self.history = tuple(history)
         self._beta_cache: dict[tuple[int, int], QSeries] = {}
         self._beta_lb: dict[tuple[int, int], int] = {}
-        self._cheap_lb: dict[tuple[int, int], int] = {}
         self.window_extents: dict[tuple[int, int], int] = {}
 
     @property
     def t(self) -> int:
-        return self.t0 + sum(self.history)
+        return self._t_at(self.depth)
 
     @property
     def depth(self) -> int:
@@ -85,29 +88,35 @@ class BaileyState:
     def _seed_lead(self, n: int) -> int:
         return self.seed[n][0][0]
 
-    def _levels(self, n: int):
-        """Kernel charges of each applied step, for the alpha at index n."""
+    def _t_at(self, depth: int) -> int:
+        return self.t0 + sum(self.history[:depth])
+
+    def _levels(self, n: int, depth: int):
+        """Kernel charges of the first `depth` steps, for the alpha at
+        index n."""
         t, out = self.t0, []
-        for s in self.history:
+        for s in self.history[:depth]:
             out.append((3 * t - s + n, 2 * s - t - n))
             t += s
         return out
 
-    def alpha_lead_lb(self, n: int, target: int) -> int:
-        """Certified lower bound for the minimal degree of alpha_n."""
-        if n not in self.seed:
-            return target
+    def _alpha_lead(self, n: int, depth: int) -> int:
+        """Certified lower bound for the minimal degree of alpha_n after
+        the first `depth` steps, for n in the support."""
         lb = self._seed_lead(n)
-        for m, e in self._levels(n):
+        for m, e in self._levels(n, depth):
             lb += -n + tet_min_degree(m, e)
         return lb
 
     def alpha(self, n: int, prec: int) -> QSeries:
         """alpha_n at the current parameter, truncated at `prec`."""
+        return self._alpha(n, self.depth, prec)
+
+    def _alpha(self, n: int, depth: int, prec: int) -> QSeries:
         poly = self.seed.get(n)
         if poly is None:
             return zero(prec)
-        chs = self._levels(n)
+        chs = self._levels(n, depth)
         sign = -1 if n % 2 else 1
         # clamp at prec + n so one deep factor cannot starve the others
         d_mult = [
@@ -139,7 +148,7 @@ class BaileyState:
             if cached is not None and cached.prec >= prec:
                 return cached.truncated(prec)
         if depth == 0:
-            s = self._beta_depth0(m, prec)
+            s = self._kernel_sum(0, m, prec)
         else:
             s = self._beta_step(depth, m, prec, min_window)
         if min_window == 0:
@@ -148,53 +157,47 @@ class BaileyState:
                 self._beta_cache[key] = s
         return s
 
-    def _beta_depth0(self, m: int, prec: int) -> QSeries:
+    def _kernel_sum(self, depth: int, m: int, prec: int) -> QSeries:
+        """sum_n I(t, n+m) alpha_n, with t and alpha taken after the
+        first `depth` steps."""
+        t = self._t_at(depth)
         total = zero(prec)
         for n in self.support():
-            sl = self._seed_lead(n)
-            d = tet_min_degree(self.t0, n + m)
-            if sl + d >= prec:
+            alb = self._alpha_lead(n, depth)
+            d = tet_min_degree(t, n + m)
+            if alb + d >= prec:
                 continue
-            kernel = tet_index(self.t0, n + m, prec - sl)
-            total = total + (kernel * _poly_to_series(self.seed[n], prec - d))
-        return total.truncated(prec)
+            kernel = tet_index(t, n + m, prec - alb)
+            alpha = self._alpha(n, depth, prec - d)
+            total = total + (kernel * alpha).truncated(prec)
+        return total
 
     def _step_charges(self, depth: int, m: int, k: int):
-        t = self.t0 + sum(self.history[: depth - 1])
+        t = self._t_at(depth - 1)
         s = self.history[depth - 1]
         ch1 = (-m - 2 * s + 2 * t, 2 * s - t + k)
         ch2 = (m + 2 * s - t, k - m - s - t)
         return ch1, ch2
 
+    def _step_term(self, depth: int, m: int, k: int, target: int):
+        """Degree bounds (d1, d2, lb) of the two kernel factors and of
+        beta_{depth-1}(k) in term k of the step sum for beta_depth(m),
+        with lb taken against the term's share of `target`."""
+        ch1, ch2 = self._step_charges(depth, m, k)
+        d1, d2 = tet_min_degree(*ch1), tet_min_degree(*ch2)
+        rem = target - (2 * k - m) - d1 - d2
+        return d1, d2, self._beta_lead_lb(depth - 1, k, rem)
+
     def _beta_step(self, depth: int, m: int, prec: int, min_window: int) -> QSeries:
         def budget(k):
-            rem = prec - (2 * k - m)
-            ch1, ch2 = self._step_charges(depth, m, k)
-            d1 = tet_min_degree(*ch1)
-            rem -= d1
-            d2 = tet_min_degree(*ch2)
-            rem -= d2
-            lb = self._beta_lead_lb(depth - 1, k, rem)
-            if lb >= rem:
-                return None
-            return d1, d2, lb
-
-        def cheap_ok(k):
-            ch1, ch2 = self._step_charges(depth, m, k)
-            b = (
-                (2 * k - m)
-                + tet_min_degree(*ch1)
-                + tet_min_degree(*ch2)
-                + self._cheap_beta_lb(depth - 1, k)
-            )
-            return b >= prec
+            b = self._step_term(depth, m, k, prec)
+            return None if (2 * k - m) + sum(b) >= prec else b
 
         extent = _grow_symmetric_window(
             lambda k: budget(k) is None,
             _LB_MARGIN,
             DEFAULT_WINDOW_CAP,
             "Bailey step window",
-            cheap_ok,
         )
         self.window_extents[(depth, m)] = extent
         extent = max(extent, min_window)
@@ -214,68 +217,23 @@ class BaileyState:
             total = total + (f1 * f2 * bk).scaled(sign, pref).truncated(prec)
         return total
 
-    def _cheap_beta_lb(self, depth: int, m: int) -> int:
-        """Closed-form lower bound for beta's degree, used only by the
-        tail screen of the step window: exact-shape at depth 0, and at
-        deeper levels the minimum of the closed-form term bounds over a
-        scan that stops once the bounds have risen clear of the running
-        minimum.  No series are evaluated.  The scan relies on the
-        eventually-quadratic growth of the kernel bounds; the window
-        replay tests guard that assumption."""
-        key = (depth, m)
-        cached = self._cheap_lb.get(key)
-        if cached is not None:
-            return cached
-        if depth == 0:
-            vals = [
-                self._seed_lead(n) + tet_min_degree(self.t0, n + m)
-                for n in self.support()
-            ]
-            lb = min(vals) if vals else 0
-        else:
-
-            def term_bound(k):
-                ch1, ch2 = self._step_charges(depth, m, k)
-                return (
-                    (2 * k - m)
-                    + tet_min_degree(*ch1)
-                    + tet_min_degree(*ch2)
-                    + self._cheap_beta_lb(depth - 1, k)
-                )
-
-            best = term_bound(0)
-            clear_pos = clear_neg = 0
-            k = 1
-            while k <= _LB_SCAN_CAP and (clear_pos < 8 or clear_neg < 8):
-                if clear_pos < 8:
-                    b = term_bound(k)
-                    clear_pos = 0 if b <= best else clear_pos + 1
-                    best = min(best, b)
-                if clear_neg < 8:
-                    b = term_bound(-k)
-                    clear_neg = 0 if b <= best else clear_neg + 1
-                    best = min(best, b)
-                k += 1
-            lb = best
-        self._cheap_lb[key] = lb
-        return lb
-
     def _beta_lead_lb(self, depth: int, m: int, target: int) -> int:
-        """Certified-or-heuristic lower bound for beta's minimal degree.
+        """Lower bound for beta's minimal degree, at most `target`.
 
-        Sound whenever the scan stabilizes inside its cap; otherwise the
-        current minimum is used with a warning.
+        Exact at depth 0.  Deeper it is the minimum of the step terms'
+        bounds over a scan that stops once `_LB_MARGIN` of them on each
+        side clear `target`, which misses a dip beyond the stop; where
+        the scan hits its cap the current minimum is used with a
+        warning.
         """
         key = (depth, m)
         cached = self._beta_lb.get(key)
         if cached is not None and cached >= target:
             return cached
         if depth == 0:
-            vals = []
+            lb = target
             for n in self.support():
-                sl = self._seed_lead(n)
-                vals.append(sl + tet_min_degree(self.t0, n + m))
-            lb = min(vals) if vals else target
+                lb = min(lb, self._alpha_lead(n, 0) + tet_min_degree(self.t0, n + m))
         else:
             lb = self._scan_step_lb(depth, m, target)
         lb = min(lb, target)
@@ -285,14 +243,7 @@ class BaileyState:
 
     def _scan_step_lb(self, depth: int, m: int, target: int) -> int:
         def term_bound(k):
-            rem = target - (2 * k - m)
-            ch1, ch2 = self._step_charges(depth, m, k)
-            d1 = tet_min_degree(*ch1)
-            rem -= d1
-            d2 = tet_min_degree(*ch2)
-            rem -= d2
-            lb = self._beta_lead_lb(depth - 1, k, rem)
-            return (2 * k - m) + d1 + d2 + lb
+            return (2 * k - m) + sum(self._step_term(depth, m, k, target))
 
         best = term_bound(0)
         stable_pos = stable_neg = 0
@@ -348,18 +299,10 @@ def bailey_verify(
     every m in the inclusive range."""
     if prec <= 0:
         return CheckReport(prec, True)
-    t = state.t
     report = CheckReport(prec, True)
     for m in range(m_range[0], m_range[1] + 1):
         lhs = state.beta(m, prec)
-        rhs = zero(prec)
-        for n in state.support():
-            alb = state.alpha_lead_lb(n, prec)
-            d = tet_min_degree(t, n + m)
-            if alb + d >= prec:
-                continue
-            kernel = tet_index(t, n + m, prec - alb)
-            rhs = rhs + (kernel * state.alpha(n, prec - d)).truncated(prec)
+        rhs = state._kernel_sum(state.depth, m, prec)
         report = _merge(report, compare_series(lhs, rhs, prec))
     return report
 

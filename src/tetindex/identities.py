@@ -12,7 +12,8 @@ that do are summed.  A sum with infinitely many such terms raises at
 once, and a window wider than its cap raises too, so a failed
 convergence assumption is a loud error instead of a silent truncation.
 The Bailey step window, whose terms are not affine in its index, is
-still grown here by `_grow_symmetric_window` with a finite tail screen.
+still grown here by `_grow_symmetric_window`, whose tail is screened
+to a finite horizon by the same test that decides the window.
 """
 
 from __future__ import annotations
@@ -95,16 +96,17 @@ def _sign_pow(k: int) -> int:
     return -1 if k % 2 else 1
 
 
-def _grow_symmetric_window(meets, margin: int, cap: int, what: str, screen) -> int:
-    """Smallest window half-width E such that the outermost `margin`
-    values on both ends satisfy `meets` and the TAIL_HORIZON positions
-    beyond them pass `screen`.
+def _grow_symmetric_window(meets, margin: int, cap: int, what: str) -> int:
+    """Smallest window half-width E such that `meets` holds at the
+    outermost `margin` values on both ends and at the TAIL_HORIZON
+    positions beyond them.
 
     This is the Bailey step window, whose terms are not affine in the
     summation index.  The degree profile need not be monotone: a term
     far outside a locally converged window can still dip below the
-    precision, so a dip found by the screen forces the window out to it.
-    Only dips within the horizon are seen."""
+    precision, so a dip in the tail forces the window out to it.  The
+    tail is screened by `meets` itself, memoized, so each position is
+    evaluated at most once.  Only dips within the horizon are seen."""
     _check_window_args(margin, cap, what)
     known: dict[int, bool] = {}
 
@@ -118,7 +120,7 @@ def _grow_symmetric_window(meets, margin: int, cap: int, what: str, screen) -> i
         if all(ok(j) and ok(-j) for j in range(e - margin + 1, e + 1)):
             dip = None
             for j in range(e + 1, e + TAIL_HORIZON + 1):
-                if not (screen(j) and screen(-j)):
+                if not (ok(j) and ok(-j)):
                     dip = j
                     break
             if dip is None:

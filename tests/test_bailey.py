@@ -1,6 +1,7 @@
 import pytest
 
 from oracle import naive_tet_index, same_to_order
+from tetindex import bailey
 from tetindex.bailey import (
     bailey_beta,
     bailey_chain,
@@ -73,12 +74,44 @@ class TestStep:
         assert all(r.holds for r in reports)
 
     def test_beta_window_replay_stability(self):
-        st = bailey_step(bailey_seed_delta(0, 1), 1)
+        # every level of the six benchmark verify-sweep chains, and a
+        # depth-1 state at H=6
+        chains = [
+            (0, 1, (1,), (-1, 0, 2), 6),
+            (0, 1, (1, -1), range(-2, 3), 8),
+            (1, 0, (-1, 1), range(-2, 3), 8),
+            (-1, 0, (1, -1, 1), range(-2, 3), 8),
+            (1, 1, (0, -1, 1), range(-2, 3), 8),
+            (0, 1, (1, -1, 2, 0), range(-2, 3), 8),
+            (0, -1, (1, 1, -1, 0), range(-2, 3), 8),
+        ]
+        for n0, t, steps, ks, prec in chains:
+            st = bailey_seed_delta(n0, t)
+            for s in steps:
+                st = bailey_step(st, s)
+                for k in ks:
+                    base = st.beta(k, prec)
+                    extent = st.window_extents[(st.depth, k)]
+                    bigger = st.beta(k, prec, min_window=extent + 8)
+                    assert equal_to_order(base, bigger, prec), (n0, t, st.history, k)
+
+    def test_multipoint_laurent_seed_steps(self):
+        # the kernel sum over several seed points, at depth 0 and below
+        st = bailey_seed(0, {-1: ((0, 1),), 2: ((1, -3), (4, 2))})
         for k in (-1, 0, 2):
-            base = st.beta(k, 6)
-            extent = st.window_extents[(1, k)]
-            bigger = st.beta(k, 6, min_window=extent + 8)
-            assert equal_to_order(base, bigger, 6)
+            want = (
+                tet_index(0, k - 1, 8)
+                + tet_index(0, k + 2, 7).scaled(-3, 1)
+                + tet_index(0, k + 2, 4).scaled(2, 4)
+            )
+            assert equal_to_order(st.beta(k, 8), want, 8)
+        for s in (1, -1):
+            st = bailey_step(st, s)
+            assert bailey_verify(st, (-3, 3), 8).holds
+            for k in (-1, 0, 2):
+                extent = st.window_extents[(st.depth, k)]
+                bigger = st.beta(k, 8, min_window=extent + 8)
+                assert equal_to_order(st.beta(k, 8), bigger, 8)
 
     def test_beta_memoization_transparent(self):
         st = bailey_step(bailey_seed_delta(0, 1), -1)
@@ -124,6 +157,15 @@ class TestVerify:
         st = bailey_seed_delta(0, 1)
         rep = bailey_verify(st, (-2, 2), 0)
         assert rep.holds and rep.verified_to == 0
+
+    def test_capped_degree_scan_is_flagged(self, monkeypatch):
+        # a beta degree-bound scan that hits its cap must warn, not pass
+        # quietly, and the check it feeds must still hold
+        monkeypatch.setattr(bailey, "_LB_SCAN_CAP", 1)
+        st = bailey_step(bailey_step(bailey_seed_delta(0, 1), 1), -1)
+        with pytest.warns(RuntimeWarning, match="hit its cap"):
+            rep = bailey_verify(st, (-2, 2), 8)
+        assert rep.holds
 
     def test_chain_report_count(self):
         reports = bailey_chain(1, -1, [0], (-1, 1), 5)

@@ -8,6 +8,8 @@ from oracle import naive_pentagon_lhs, naive_pentagon_rhs, naive_tet_index, same
 from tetindex import tetrahedron
 from tetindex.errors import StabilizationError
 from tetindex.identities import (
+    TAIL_HORIZON,
+    _grow_symmetric_window,
     compare_series,
     duality_check,
     pentagon_check,
@@ -479,3 +481,43 @@ class TestRank1Extent:
     def test_falling_or_flat_tail_diverges(self, term):
         with pytest.raises(StabilizationError, match="diverges"):
             rank1_extent(term, 4, 3, 64, "sum")
+
+
+class TestGrowSymmetricWindow:
+    """The Bailey step window, on synthetic profiles: `meets(j)` is true
+    where term j clears the precision."""
+
+    @staticmethod
+    def grow(low, margin=3, cap=400):
+        calls = []
+
+        def meets(j):
+            calls.append(j)
+            return j not in low
+
+        return _grow_symmetric_window(meets, margin, cap, "step window"), calls
+
+    def test_low_terms_near_the_origin(self):
+        assert self.grow(set(range(-2, 3)))[0] == 3 + 2
+
+    def test_a_dip_in_the_tail_widens_the_window(self):
+        e = 3 + 2
+        assert self.grow(set(range(-2, 3)) | {e + 150})[0] == e + 150 + 3
+
+    def test_a_dip_past_the_horizon_is_not_seen(self):
+        # the documented limit of the finite tail screen
+        e = 3 + 2
+        assert self.grow(set(range(-2, 3)) | {-(e + TAIL_HORIZON + 1)})[0] == e
+
+    def test_each_position_is_evaluated_once(self):
+        extent, calls = self.grow(set(range(-2, 3)) | {160})
+        assert extent == 163
+        assert len(calls) == len(set(calls))
+
+    def test_zero_margin_rejected(self):
+        with pytest.raises(ValueError, match="margin must be at least 1"):
+            self.grow(set(), margin=0)
+
+    def test_cap_error(self):
+        with pytest.raises(StabilizationError, match="step window not stabilized"):
+            self.grow(set(range(-50, 51)), cap=40)
