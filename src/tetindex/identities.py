@@ -5,12 +5,13 @@ Each check computes both sides as exact truncated series and reports
 coefficientwise agreement.  The infinite charge sums on the right-hand
 sides run over one integer e3, with charges and prefactor affine in e3:
 they are rank-1 lattice sums, built as `LatticeSumExpr`s and summed by
-the evaluator of `lattice`, which truncates them exactly.  Their window
-covers, with `margin` values to spare on both ends, the farthest e3
-whose term reaches below the requested precision, and only the terms
-that do are summed.  A sum with infinitely many such terms raises at
-once, and a window wider than its cap raises too, so a failed
-convergence assumption is a loud error instead of a silent truncation.
+the one evaluator of `lattice`, whose certificate solves them exactly
+on both sides of e3 = 0.  Their window covers, with `margin` values to
+spare on both ends, the farthest e3 whose term reaches below the
+requested precision, and only the terms that do are summed.  A sum with
+infinitely many such terms raises at once, naming the side it diverges
+on, and a window wider than its cap raises too, so a failed convergence
+assumption is a loud error instead of a silent truncation.
 The Bailey step window, whose terms are not affine in its index, is
 still grown here by `_grow_symmetric_window`, whose tail is screened
 to a finite horizon by the same test that decides the window.

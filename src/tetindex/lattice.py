@@ -19,17 +19,16 @@ build their right-hand sides as rank-1 expressions and sum them here.
 Every sum is truncated by a certificate, never by a finite screen, and
 reports its box half-width E: `margin` past the farthest lattice point
 whose term reaches below the precision.  Only the origin and those low
-points are summed; every other term is zero to the precision.  A rank-1
-sum gets E exactly (see `rank1_extent`) from runs that cover its low
-terms, solved piece by piece in time logarithmic in their distance.  A
-sum of higher rank covers the directions of the lattice by boxes on the
-faces of the max-norm unit sphere, bounds the term degree from below on
-each of them by a quadratic in the radius, and tests one by one only
-the points at the radii where that bound reaches below the precision
-(see `_Certificate` and `_low_points`).  A divergent sum raises at
-once (at rank >= 2 naming a line of lattice points on which it
-diverges), and so does a box wider than its cap.  The built-in `ind41`
-expression is the figure-eight-knot index sum_{k1,k2} I(k1,k2) I(k2,k1).
+points are summed; every other term is zero to the precision.  Boxes
+of directions on the faces of the max-norm unit sphere cover the
+lattice, two faces at rank 1.  On each, a quadratic in the radius
+bounds the term degree from below (on a single direction it is the
+degree) and is solved in time logarithmic in the distance of its low
+values; only the points at the radii where it reaches below the
+precision are tested (see `_Certificate` and `_low_points`).  A
+divergent sum raises at once, naming a line on which it diverges, and
+so does a box wider than its cap.  The built-in `ind41` expression is
+the figure-eight-knot index sum_{k1,k2} I(k1,k2) I(k2,k1).
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from math import gcd, prod
-from operator import add, mul
+from operator import add
 
 from .errors import ExprSyntaxError, StabilizationError
 from .series import QSeries, half_exp_str, zero
@@ -54,7 +53,6 @@ __all__ = [
     "eval_expr_with_box",
     "box_cap_default",
     "charge_product",
-    "rank1_extent",
     "ind41",
     "load_expr_file",
     "IND41_TEXT",
@@ -97,6 +95,22 @@ class LatticeSumExpr:
     sign: int
     prefactor: AffineForm
     factors: tuple[tuple[AffineForm, AffineForm], ...]
+
+    def __post_init__(self):
+        """Reject what the parser never builds: a sign other than +-1, a
+        form not of the rank, and a charge form not integer-valued."""
+        if self.sign not in (1, -1):
+            raise ValueError(f"sign must be 1 or -1, got {self.sign}")
+        counts, odd = {len(self.prefactor.coeffs)}, 0
+        for a, b in self.factors:
+            counts |= {len(a.coeffs), len(b.coeffs)}
+            odd |= a.constant | b.constant
+            for c in a.coeffs + b.coeffs:
+                odd |= c
+        if counts != {self.rank}:
+            raise ValueError(f"a form's coefficient count is not the rank {self.rank}")
+        if odd % 2:  # the lowest bit of some constant or coefficient
+            raise ValueError("charge form not integer-valued")
 
     @property
     def rank(self) -> int:
@@ -309,48 +323,39 @@ def charge_product(charges, pref_h: int, sign: int, prec: int) -> QSeries:
     Each factor is computed to exactly the precision the product needs,
     from the exact minimal degrees of the others.
     """
-    rel = prec - term_degree(charges, pref_h)
+    degrees = [tet_min_degree(m, e) for m, e in charges]
+    rel = prec - pref_h - sum(degrees)
     if rel <= 0:
         return zero(prec)
     prod = None
-    for m, e in charges:
-        f = tet_index(m, e, tet_min_degree(m, e) + rel)
+    for (m, e), d in zip(charges, degrees):
+        f = tet_index(m, e, d + rel)
         prod = f if prod is None else prod * f
     return prod.scaled(sign, pref_h).truncated(prec)
 
 
 class _Term:
-    """The term of a lattice sum as (charges, pref_h), with the charge
-    forms halved once, from half-units to integers."""
+    """The term of a lattice sum as (charges, pref_h): the forms pref_h,
+    m_1, e_1, m_1 + e_1, m_2, ..., charges halved once from half-units,
+    as their constants and one column of coefficients per coordinate."""
 
     def __init__(self, expr: LatticeSumExpr):
-        self.pref = expr.prefactor.coeffs, expr.prefactor.constant
-        self.rows = [
-            ([c // 2 for c in a.coeffs], [c // 2 for c in b.coeffs],
-             a.constant // 2, b.constant // 2)
-            for a, b in expr.factors
-        ]
+        pref = expr.prefactor
+        self.consts, self.cols = [pref.constant], [[c] for c in pref.coeffs]
+        for a, b in expr.factors:
+            m, e = a.constant // 2, b.constant // 2
+            self.consts += (m, e, m + e)
+            for col, ca, cb in zip(self.cols, a.coeffs, b.coeffs):
+                m, e = ca // 2, cb // 2
+                col += (m, e, m + e)
 
     def at(self, point):
         """The term at one lattice point."""
-        p, p_c = self.pref
-        charges = [
-            (m_c + sum(map(mul, m, point)), e_c + sum(map(mul, e, point)))
-            for m, e, m_c, e_c in self.rows
-        ]
-        return charges, p_c + sum(map(mul, p, point))
-
-    def line(self, step):
-        """The term j -> term(j * step), affine in j."""
-
-        def dot(coeffs):
-            return sum(map(mul, coeffs, step))
-
-        rows = [(dot(m), m_c, dot(e), e_c) for m, e, m_c, e_c in self.rows]
-        p_slope, p_c = dot(self.pref[0]), self.pref[1]
-        return lambda j: (
-            [(a * j + b, c * j + d) for a, b, c, d in rows], p_slope * j + p_c
-        )
+        vals = self.consts
+        for col, k in zip(self.cols, point):
+            if k:
+                vals = [v + c * k for v, c in zip(vals, col)]
+        return list(zip(vals[1::3], vals[2::3])), vals[0]
 
 
 def _check_window_args(margin: int, cap: int, what: str) -> None:
@@ -434,15 +439,19 @@ def _low_runs(value, lines, prec: int):
     that falls or stays below `prec`, means infinitely many low values.
     A concave piece's run may cover high values between its low ends.
     """
-    cuts = sorted({0, *(-b // a for a, b in lines if a and -b // a > 0)})
-    runs = [(t, t) for t in cuts[1:] if value(t) < prec]
-    # (first t, last step or None for the ray) of every piece
-    pieces = [(a + 1, b - a - 2) for a, b in zip(cuts, cuts[1:]) if b - a > 1]
-    pieces.append((cuts[-1] + 1, None))
-    for t, n in pieces:
-        if n is not None and n < 2:  # too short to read a quadratic from
-            runs += [(j, j) for j in range(t, t + n + 1) if value(j) < prec]
+    runs, pieces, t = [], [], 1  # t: the first value past the zeros so far
+    for cut in sorted({-b // a for a, b in lines if a}):
+        if cut < t:
             continue
+        if cut - t > 2:  # the piece t .. cut - 1, as (first t, last step)
+            pieces.append((t, cut - 1 - t))
+        else:  # too short to read a quadratic from
+            runs += [(j, j) for j in range(t, cut) if value(j) < prec]
+        if value(cut) < prec:
+            runs.append((cut, cut))
+        t = cut + 1
+    pieces.append((t, None))  # the outer ray
+    for t, n in pieces:
         d = value(t)
         slope = value(t + 1) - d
         curve = value(t + 2) - 2 * slope - d
@@ -454,68 +463,6 @@ def _low_runs(value, lines, prec: int):
         if ends is not None:
             runs.append((t + ends[0], t + ends[1]))
     return runs
-
-
-def _rank1_runs(term, prec: int, what: str):
-    """Runs (side, first, last) that cover every nonzero j with
-    term_degree(*term(j)) < prec, as j = side * t for t in [first, last];
-    `last` is always such a j.  Raises StabilizationError when there are
-    infinitely many.  Every charge and the prefactor must be affine in j:
-    only term(0) and term(1) are read.
-
-    tet_min_degree is one polynomial on each sector cut out by m = 0,
-    e = 0 and m + e = 0, so on each side of j = 0 the term degree is one
-    exact quadratic between consecutive zeros of the m, e and m + e of
-    all factors, and past the outermost ones: `_low_runs` solves it.
-    """
-    (charges0, p0), (charges1, p1) = term(0), term(1)
-    # every m and e as (slope, value at j = 0)
-    rows = [(m1 - m0, m0, e1 - e0, e0) for (m0, e0), (m1, e1) in zip(charges0, charges1)]
-    out = []
-    for side in (1, -1):
-        slope = side * (p1 - p0)
-        side_rows = [(side * a, b, side * c, d) for a, b, c, d in rows]
-
-        def degree(t):  # term_degree(*term(side * t)), from the rows
-            return slope * t + p0 + sum(
-                [tet_min_degree(a * t + b, c * t + d) for a, b, c, d in side_rows]
-            )
-
-        lines = [
-            line for a, b, c, d in side_rows for line in ((a, b), (c, d), (a + c, b + d))
-        ]
-        runs = _low_runs(degree, lines, prec)
-        if runs is None:
-            raise StabilizationError(
-                f"{what} diverges: infinitely many of its terms start "
-                f"below half-exponent {prec}"
-            )
-        out += [(side, first, last) for first, last in runs]
-    return out
-
-
-def _rank1_window(term, prec: int, margin: int, cap: int, what: str):
-    """`rank1_extent` and the runs of `_rank1_runs` it rests on."""
-    runs = _rank1_runs(term, prec, what)
-    extent = margin + max((last for *_, last in runs), default=0)
-    if extent > cap:
-        raise _cap_error(what, cap)
-    return extent, runs
-
-
-def rank1_extent(term, prec: int, margin: int, cap: int, what: str) -> int:
-    """Exact window half-width for the sum over j of the terms
-    term(j) = (charges, pref_h) at precision `prec`: `margin` past the
-    farthest nonzero j with term_degree(*term(j)) < prec, or `margin`
-    when there is none (see `_rank1_runs`).  The centre j = 0 is always
-    summed, so it never widens the window.
-
-    A sum with infinitely many low terms diverges at this precision.
-    That, and a window wider than `cap`, raise StabilizationError; a
-    margin below 1 or a negative cap raise ValueError.
-    """
-    _check_window_args(margin, cap, what)
-    return _rank1_window(term, prec, margin, cap, what)[0]
 
 
 def _faces(rank: int):
@@ -559,25 +506,33 @@ def _box_points(box, r: int):
     return itertools.product(*ranges)
 
 
+def _line(step):
+    """The box of the single direction `step`: its radius r is the
+    multiplier of the point r * step."""
+    return 0, 1, tuple((c, c) for c in step)
+
+
 class _Certificate:
-    """A certified truncation of a lattice sum of rank >= 2.
+    """A certified truncation of a lattice sum.
 
     Write a point as k = r * u with r = max |k_j| and u on a face of the
     max-norm unit sphere.  In max form the degree of I(m, e) is
         m+ (m+e)+ + (-m)+ e+ + (-e)+ (-m-e)+ + max(0, m, -e)
-    (x+ = max(x, 0)), and every piece of it rises with each argument.
-    Over a box U of directions, each of m, -m, e, -e, m+e, -m-e and the
-    prefactor is at least r times the least value of its linear part on
-    U, plus its constant; putting these ends into the max form gives a
-    lower bound L_U(r) <= D(r * u) for every u in U, which is one
-    quadratic in r between the zeros of the bounding affine functions.
-    Scaled by w^2 it has integer coefficients, and `_low_runs` solves it
-    exactly, as in the rank-1 case.
+    (x+ = max(x, 0)), Garoufalidis' closed form `tet_min_degree`, and
+    every piece of it rises with each argument.  Over a box U of
+    directions, each of m, -m, e, -e, m+e, -m-e and the prefactor is at
+    least r times the least value of its linear part on U, plus its
+    constant; putting these ends into the max form gives a lower bound
+    L_U(r) <= D(r * u) for every u in U, which is one quadratic in r
+    between the zeros of the bounding affine functions.  Scaled by w^2
+    it has integer coefficients, and `_low_runs` solves it exactly.  On
+    a box of a single direction, such as a face of a rank-1 sum or the
+    `_line` of a step, every end is exact and L_U is the degree itself.
 
     A box whose bound has finitely many low radii is accepted with runs
-    of radii that cover them.  Otherwise the integer lines through the
-    box's corners and centre are solved as rank-1 sums (`_rank1_runs`),
-    which raises at once if one of them diverges, and the box is split.
+    of radii that cover them.  Otherwise the integer lines through its
+    corners and centre are solved as single-direction boxes, raising at
+    once if the sum diverges along one of them, and the box is split.
     """
 
     def __init__(self, expr: LatticeSumExpr, prec: int):
@@ -586,91 +541,96 @@ class _Certificate:
         self.lines_tested = set()
 
     def runs(self, box):
-        """Disjoint runs of radii r >= 1 that cover every r with
-        L_U(r) < prec, or None when the bound has infinitely many low
-        radii.  The origin is summed on its own."""
+        """Disjoint runs of radii r >= 1 covering every r with L_U(r) <
+        prec, or None if there are infinitely many; the origin is apart."""
         _, w, spans = box
-
-        def lo(coeffs):
-            return sum(c * (l if c >= 0 else h) for c, (l, h) in zip(coeffs, spans))
-
-        def hi(coeffs):
-            return sum(c * (h if c >= 0 else l) for c, (l, h) in zip(coeffs, spans))
-
-        pref = self.expr.prefactor
-        p_slope, p_const = w * lo(pref.coeffs), w * w * pref.constant
-        rows, lines = [], []
-        for m, e, m_c, e_c in self.term.rows:
-            s = list(map(add, m, e))
-            # slopes of m, -m, e, -e, m+e, -m-e and the constants of m, e, m+e
-            row = (lo(m), -hi(m), lo(e), -hi(e), lo(s), -hi(s),
-                   w * m_c, w * e_c, w * (m_c + e_c))
-            lm, lnm, le, lne, ls, lns, cm, ce, cs = row
-            rows.append(row)
-            lines += ((lm, cm), (lnm, -cm), (le, ce), (lne, -ce), (ls, cs),
-                      (lns, -cs), (lm - lne, cm + ce))
+        # the least and greatest values of the forms' linear parts on the box
+        lo = hi = [0] * len(self.term.consts)
+        for col, (l, h) in zip(self.term.cols, spans):
+            if l == h and lo is hi:  # one value, and the ends still agree
+                lo = hi = [x + c * l for x, c in zip(lo, col)]
+            else:
+                lo = [x + c * (l if c >= 0 else h) for x, c in zip(lo, col)]
+                hi = [x + c * (h if c >= 0 else l) for x, c in zip(hi, col)]
+        k = [w * c for c in self.term.consts]
+        p_const, cm, ce, cs, offsets = w * k[0], k[1::3], k[2::3], k[3::3], k[1:]
+        lm, le, ls = lo[1::3], lo[2::3], lo[3::3]
+        hm, he, hs = (lm, le, ls) if hi is lo else (hi[1::3], hi[2::3], hi[3::3])
+        p_slope, rows = w * lo[0], list(zip(lm, hm, le, he, ls, hs, cm, ce, cs))
+        # the zeros of every bound and of the least m plus the greatest e
+        slopes = lo[1:]
+        if hi is not lo:
+            slopes += hi[1:] + list(map(add, lm, he))
+            offsets = offsets * 2 + list(map(add, cm, ce))
 
         def value(r):
+            # the max form at the least m, e, s = m + e and the greatest
+            # M, E, S: m > 0 rules out (-M)+ e+, and E >= 0 (-E)+ (-S)+
             total = p_slope * r + p_const
-            for lm, lnm, le, lne, ls, lns, cm, ce, cs in rows:
-                m, nm = lm * r + cm, lnm * r - cm
-                e, ne = le * r + ce, lne * r - ce
-                s, ns = ls * r + cs, lns * r - cs
-                if m > 0 < s:
-                    total += m * s
-                if nm > 0 < e:
-                    total += nm * e
-                if ne > 0 < ns:
-                    total += ne * ns
-                total += w * max(0, m, ne)
+            for lm, hm, le, he, ls, hs, cm, ce, cs in rows:
+                m, E = lm * r + cm, he * r + ce
+                if m > 0:
+                    if (s := ls * r + cs) > 0:
+                        total += m * s
+                    if E >= 0:
+                        total += w * m
+                        continue
+                    total += w * m if m > -E else -w * E
+                else:
+                    if (M := hm * r + cm) < 0 < (e := le * r + ce):
+                        total -= M * e
+                    if E >= 0:
+                        continue
+                    total -= w * E
+                if (S := hs * r + cs) < 0:
+                    total += E * S
             return total
 
-        return _low_runs(value, lines, w * w * self.prec)
+        return _low_runs(value, zip(slopes, offsets), w * w * self.prec)
 
-    def test_lines(self, box) -> None:
-        """Solve the lines through the box's corners and centre as rank-1
-        sums; raises StabilizationError if one of them diverges."""
+    def test_lines(self, box, what: str) -> None:
+        """Solve the lines through the box's corners and centre as the
+        single-direction boxes of their two steps; raise, naming the sum
+        `what` and the line, if the sum diverges along one of them."""
         spans = box[2]
         ends = [(lo,) if lo == hi else (lo, hi) for lo, hi in spans]
         centre = tuple(lo + hi for lo, hi in spans)
         for direction in [centre, *itertools.product(*ends)]:
             g = gcd(*direction)
             step = tuple(c // g for c in direction)
+            back = tuple(-c for c in step)
             if step in self.lines_tested:
                 continue
-            self.lines_tested.add(step)
-            self.lines_tested.add(tuple(-c for c in step))
-            _rank1_runs(
-                self.term.line(step), self.prec,
-                f"lattice sum along the line j * {step}",
-            )
+            self.lines_tested.update((step, back))
+            if self.runs(_line(step)) is None or self.runs(_line(back)) is None:
+                raise StabilizationError(
+                    f"{what} along the line j * {step} diverges: infinitely many "
+                    f"of its terms start below half-exponent {self.prec}"
+                )
 
 
-def _low_points(expr: LatticeSumExpr, prec: int, margin: int, cap: int,
-                what: str = "lattice sum"):
-    """The box half-width of a sum of rank >= 2, `margin` past the
-    farthest nonzero point whose term reaches below `prec`, and those
-    points.
+def _low_points(cert: _Certificate, margin: int, cap: int, what: str = "lattice sum"):
+    """The box half-width of the sum `cert` truncates, at any rank:
+    `margin` past the farthest nonzero point whose term reaches below its
+    precision, and those points mapped to their terms.
 
     Every face is covered by direction boxes whose bounds are certified
-    (see `_Certificate`); a box is split at most SPLIT_BUDGET times in
-    all.  Then, while enumerating a box would test more than SPLIT_POINTS
-    points, it is split further to tighten its radii, and the points at
-    the radii of its runs are tested one by one.  A divergent sum, a
-    budget that runs out before every box is certified, and a low point
-    past `cap - margin` raise StabilizationError; divergence is looked
-    for before the cap, so a divergent sum is named as such under any
-    cap."""
-    cert = _Certificate(expr, prec)
-    budget = SPLIT_BUDGET
-    pending, accepted = deque(_faces(expr.rank)), []
+    (see `_Certificate`), split at most SPLIT_BUDGET times in all, and a
+    box of a single direction never.  While enumerating a box would test
+    more than SPLIT_POINTS points, it is split to tighten its radii; then
+    the points at the radii of its runs are tested, the farthest first.
+    Divergence, a budget that runs out before every box is certified, and
+    a low point past `cap - margin` raise StabilizationError naming the
+    sum `what`, divergence first under any cap."""
+    prec, budget = cert.prec, SPLIT_BUDGET
+    pending, accepted = deque(_faces(cert.expr.rank)), []
     while pending:
         box = pending.popleft()
         runs = cert.runs(box)
         if runs is not None:
             accepted.append((box, runs))
             continue
-        cert.test_lines(box)
+        cert.test_lines(box, what)
         if not budget:
             raise StabilizationError(
                 f"could not certify the lattice sum at half-exponent {prec}: "
@@ -681,28 +641,29 @@ def _low_points(expr: LatticeSumExpr, prec: int, margin: int, cap: int,
     if margin > cap:
         raise _cap_error(what, cap)
 
-    far, points = 0, []
+    far, points, at = 0, {}, cert.term.at
     while accepted:
         box, runs = accepted.pop()
         if not runs:
             continue
         _, w, spans = box
-        top = max(last for _, last in runs)
-        tested = sum(last - first + 1 for first, last in runs) * prod(
-            top * (hi - lo) // w + 1 for lo, hi in spans
-        )
-        if budget and tested > SPLIT_POINTS and w < top:
+        runs.sort(reverse=True)  # the farthest first
+        top = runs[0][1]
+        if budget and w < top and any(lo < hi for lo, hi in spans) and sum(
+            last - first + 1 for first, last in runs
+        ) * prod(top * (hi - lo) // w + 1 for lo, hi in spans) > SPLIT_POINTS:
             budget -= 1
             accepted += ((sub, cert.runs(sub)) for sub in _split(box))
             continue
         for first, last in runs:
-            for r in range(first, last + 1):
+            for r in range(last, first - 1, -1):
                 for point in _box_points(box, r):
-                    if term_degree(*cert.term.at(point)) < prec:
+                    term = at(point)
+                    if term_degree(*term) < prec:
                         if r > cap - margin:
                             raise _cap_error(what, cap)
                         far = max(far, r)
-                        points.append(point)
+                        points[point] = term
     return margin + far, points
 
 
@@ -710,33 +671,21 @@ def _evaluate(expr, prec, margin, cap, what, min_box=0):
     """The sum and its box half-width, `what` naming it in errors; a cap
     of None is `box_cap_default`.
 
-    Only the origin and the points whose terms may reach below `prec`
-    are summed; every other term is zero to this precision.  At rank 1
-    they are the runs of `_rank1_runs`, walked only once the cap is
-    checked on their ends (a concave piece's run may hold high terms,
-    which add zero); at rank >= 2 `_low_points` finds them.  `min_box`
-    sums the full cube of that half-width instead, if it is larger
-    (stability-replay tests)."""
-    rank, term = expr.rank, _Term(expr)
-    cap = box_cap_default(rank) if cap is None else cap
+    Only the origin and the low points of `_low_points` are summed; every
+    other term is zero to this precision.  `min_box` sums the full cube
+    of that half-width instead, if it is larger (stability-replay
+    tests)."""
+    cap = box_cap_default(expr.rank) if cap is None else cap
     _check_window_args(margin, cap, what)
-    if rank == 1:  # a point is the integer j itself
-        at = term.line((1,))
-        extent, runs = _rank1_window(at, prec, margin, cap, what)
-        points = [0] + [
-            j
-            for side, first, last in runs
-            for j in range(side * first, side * (last + 1), side)
-        ]
-        cube = range(-min_box, min_box + 1)
-    else:
-        at = term.at
-        extent, low = _low_points(expr, prec, margin, cap, what)
-        points = [(0,) * rank, *low]
-        cube = itertools.product(range(-min_box, min_box + 1), repeat=rank)
+    cert = _Certificate(expr, prec)
+    extent, low = _low_points(cert, margin, cap, what)
+    at = cert.term.at
+    terms = [at((0,) * expr.rank), *low.values()]
+    if min_box > extent:
+        terms = map(at, itertools.product(range(-min_box, min_box + 1), repeat=expr.rank))
     total = zero(prec)
-    for point in cube if min_box > extent else points:
-        total = total + charge_product(*at(point), expr.sign, prec)
+    for charges, pref_h in terms:
+        total = total + charge_product(charges, pref_h, expr.sign, prec)
     return total, extent
 
 

@@ -24,11 +24,12 @@ from tetindex.identities import (
 from tetindex.lattice import (
     AffineForm,
     LatticeSumExpr,
+    _Certificate,
+    _faces,
     _low_ends,
-    _rank1_window,
+    _low_points,
     eval_expr,
     eval_expr_with_box,
-    rank1_extent,
 )
 from tetindex.series import equal_to_order, monomial, one
 from tetindex.tetrahedron import clear_caches, term_degree, tet_index
@@ -248,12 +249,10 @@ def _check_against_scan(factors, pref, prec, margin, cap, horizon):
     def charges(j):
         return tuple((a * j + b, c * j + d) for a, b, c, d in factors)
 
-    def term(j):
-        return charges(j), pref[0] * j + pref[1]
-
     def degree(j):
         return pref[0] * j + pref[1] + sum(_max_form(m, e) for m, e in charges(j))
 
+    expr = _rank1_expr(factors, pref)
     scan = [j for j in range(-horizon, horizon + 1) if degree(j) < prec]
     far = 10**7
     diverges = any(abs(j) > horizon - 100 for j in scan) or min(
@@ -261,14 +260,16 @@ def _check_against_scan(factors, pref, prec, margin, cap, horizon):
     ) < prec
     if diverges:
         with pytest.raises(StabilizationError, match="diverges"):
-            rank1_extent(term, prec, margin, cap, "sum")
+            _low_points(_Certificate(expr, prec), margin, cap)
         return
     want = margin + max((abs(j) for j in scan if j), default=0)
     if want > cap:
         with pytest.raises(StabilizationError, match="not stabilized"):
-            rank1_extent(term, prec, margin, cap, "sum")
+            _low_points(_Certificate(expr, prec), margin, cap)
     else:
-        assert rank1_extent(term, prec, margin, cap, "sum") == want
+        extent, points = _low_points(_Certificate(expr, prec), margin, cap)
+        assert extent == want
+        assert sorted(points) == [(j,) for j in scan if j]
 
 
 def _rank1_expr(factors, pref):
@@ -279,6 +280,27 @@ def _rank1_expr(factors, pref):
         tuple((AffineForm((2 * a,), 2 * b), AffineForm((2 * c,), 2 * d))
               for a, b, c, d in factors),
     )
+
+
+def _term_expr(term):
+    """The rank-1 sum of an affine term j -> (charges, pref_h), read from
+    its values at j = 0 and j = 1."""
+    (charges0, p0), (charges1, p1) = term(0), term(1)
+    return _rank1_expr(
+        [(m1 - m0, m0, e1 - e0, e0) for (m0, e0), (m1, e1) in zip(charges0, charges1)],
+        (p1 - p0, p0),
+    )
+
+
+def _certificate(term, prec):
+    """The certificate of an affine term's rank-1 sum at `prec`."""
+    return _Certificate(_term_expr(term), prec)
+
+
+def _face_runs(term, prec):
+    """The runs of the faces +1 and -1 of an affine term's rank-1 sum."""
+    cert = _certificate(term, prec)
+    return [cert.runs(face) for face in _faces(1)]
 
 
 def _check_low_terms_sum(factors, pref, prec, margin, cap):
@@ -293,8 +315,9 @@ def _check_low_terms_sum(factors, pref, prec, margin, cap):
 
 
 class TestRank1Extent:
-    """rank1_extent against a brute-force scan of the term degree: the
-    window is `margin` past the farthest nonzero low j, and the cap and
+    """Rank-1 truncation, through `_low_points`, against a brute-force
+    scan of the term degree: the window is `margin` past the farthest
+    nonzero low j, the low points are the scan's, and the cap and
     divergence verdicts agree with the scan.
 
     With slopes in [-3, 3] and offsets up to 300, every zero of an m, e
@@ -381,8 +404,8 @@ class TestRank1Extent:
         def term(j):
             return ((j - 4, 3 * j + 2),), 2 * j + 1
 
-        _, runs = _rank1_window(term, 19, 3, 400, "sum")
-        assert (1, 1, 3) in runs
+        plus, _ = _face_runs(term, 19)
+        assert (1, 3) in plus
         assert [term_degree(*term(j)) < 19 for j in (1, 2, 3)] == [True, False, True]
 
     @settings(max_examples=600, deadline=None)
@@ -423,9 +446,9 @@ class TestRank1Extent:
         def term(j):
             return ((250 - j, j - 250),), 0
 
-        assert rank1_extent(term, 8, 3, 300, "sum") == 255
+        assert _low_points(_certificate(term, 8), 3, 300)[0] == 255
         with pytest.raises(StabilizationError, match="not stabilized"):
-            rank1_extent(term, 8, 3, 254, "sum")
+            _low_points(_certificate(term, 8), 3, 254)
 
     def test_far_zero_costs_one_piece(self):
         # the zeros of m and m + e sit at j = 10^6; the one low term is
@@ -433,27 +456,32 @@ class TestRank1Extent:
         def term(j):
             return ((10**6 - j, j),), 0
 
-        assert rank1_extent(term, 8, 1, 10**7, "sum") == 10**6 + 1
+        extent, points = _low_points(_certificate(term, 8), 1, 10**7)
+        assert (extent, list(points)) == (10**6 + 1, [(10**6,)])
 
     def test_long_flat_piece_is_solved_not_walked(self):
         # degree 0 on every j in [0, 10^9] and 2 at j = 10^9 + 1: the
-        # ends of the piece are found by bisection, and the cap is
-        # checked on the answer, without listing 10^9 low terms
+        # ends of the piece are found by bisection, and the farthest low
+        # term, tested first, fails the cap without a walk over 10^9 terms
         def term(j):
             return ((0, j), (j - 10**9, 0)), 0
 
-        assert rank1_extent(term, 2, 3, 10**10, "sum") == 10**9 + 3
+        plus, minus = _face_runs(term, 2)
+        assert max(last for _, last in plus) == 10**9 and minus == []
         with pytest.raises(StabilizationError, match="not stabilized"):
-            rank1_extent(term, 2, 3, 48, "sum")
+            _low_points(_certificate(term, 2), 3, 48)
 
     def test_deep_convex_dip(self):
         # degree j(j - (2*10^6 - 1)) for j >= 0, below 0 exactly on
         # 0 < j < 2*10^6 - 1; for j < 0 only the prefactor, -2*10^6*j,
-        # is left, so no low term there
+        # is left, so no low term there.  The run is solved, not walked,
+        # and a small cap fails on its far end, which is tested first
         def term(j):
             return ((j, 0),), -2 * 10**6 * j
 
-        assert rank1_extent(term, 0, 2, 10**7, "sum") == 2 * 10**6 - 2 + 2
+        assert _face_runs(term, 0) == [[(1, 2 * 10**6 - 2)], []]
+        with pytest.raises(StabilizationError, match="not stabilized"):
+            _low_points(_certificate(term, 0), 2, 64)
 
     @pytest.mark.parametrize(
         "term, prec, far",
@@ -468,7 +496,7 @@ class TestRank1Extent:
         ],
     )
     def test_dip_past_the_start_of_a_ray(self, term, prec, far):
-        assert rank1_extent(term, prec, 1, 64, "sum") == 1 + far
+        assert _low_points(_certificate(term, prec), 1, 64)[0] == 1 + far
 
     @pytest.mark.parametrize(
         "term",
@@ -479,8 +507,8 @@ class TestRank1Extent:
         ],
     )
     def test_falling_or_flat_tail_diverges(self, term):
-        with pytest.raises(StabilizationError, match="diverges"):
-            rank1_extent(term, 4, 3, 64, "sum")
+        with pytest.raises(StabilizationError, match=r"along the line j \* \(-?1,\) diverges"):
+            _low_points(_certificate(term, 4), 3, 64)
 
 
 class TestGrowSymmetricWindow:

@@ -2,9 +2,10 @@ import itertools
 import operator
 import random
 import re
+from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tetindex.errors import ExprSyntaxError, StabilizationError
@@ -16,6 +17,7 @@ from tetindex.lattice import (
     _box_points,
     _Certificate,
     _faces,
+    _line,
     _low_points,
     _split,
     box_cap_default,
@@ -88,6 +90,45 @@ class TestParse:
         with pytest.raises(ExprSyntaxError) as exc:
             parse_expr(text)
         assert exc.value.position == text.index("k/2")
+
+
+class TestBuild:
+    """An expression built directly, not parsed, is checked as well."""
+
+    @staticmethod
+    def charge(*coeffs_and_constant):
+        *coeffs, constant = coeffs_and_constant
+        return AffineForm(tuple(coeffs), constant)
+
+    def test_half_integer_charge_rejected(self):
+        # I(k + 1/2, -k) would be floored to I(k, -k)
+        with pytest.raises(ValueError, match="not integer-valued"):
+            LatticeSumExpr(
+                ("k",), 1, AffineForm((2,), 0),
+                ((self.charge(2, 1), self.charge(-2, 0)),),
+            )
+
+    @pytest.mark.parametrize(
+        "prefactor, m",
+        [((2, 0, 0), (2, 0)), ((2, 0), (2, 4, 0))],
+        ids=["prefactor", "charge"],
+    )
+    def test_coefficient_count_must_match_rank(self, prefactor, m):
+        # an extra coefficient would be dropped
+        with pytest.raises(ValueError, match="coefficient count"):
+            LatticeSumExpr(
+                ("k",), 1, self.charge(*prefactor),
+                ((self.charge(*m), self.charge(-2, 0)),),
+            )
+
+    @pytest.mark.parametrize("sign", [3, 0, -2])
+    def test_sign_must_be_one_or_minus_one(self, sign):
+        # a sign of 3 would triple the sum
+        with pytest.raises(ValueError, match="sign"):
+            LatticeSumExpr(
+                ("k",), sign, AffineForm((0,), 0),
+                ((self.charge(2, 0), self.charge(-2, 0)),),
+            )
 
 
 class TestFormat:
@@ -280,7 +321,7 @@ class TestCertificate:
         expr, prec = case
         radius = 120 if expr.rank == 2 else 24
         try:
-            extent, points = _low_points(expr, prec, 3, 10**6)
+            extent, points = _low_points(_Certificate(expr, prec), 3, 10**6)
         except StabilizationError as exc:
             line = re.search(r"line j \* \(([-\d, ]+)\) diverges", str(exc))
             if line is None:
@@ -302,6 +343,48 @@ class TestCertificate:
         assert extent == 3 + max((max(map(abs, p)) for p in points), default=0)
         inside = sorted(p for p in points if max(map(abs, p)) <= radius)
         assert inside == _brute_low_points(expr, prec, radius)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_affine_sums(), st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+    # I(-j, 0) starts at q^0 for every j >= 0
+    @example((parse_expr("sum a b : I(a,b)"), 6), [-1, 0, 0])
+    @example((parse_expr(IND41_TEXT), 10), [1, 1, 0])
+    def test_line_runs_match_brute_force(self, case, entries):
+        """The runs of the single-direction box of a primitive step, which
+        solve every rank-1 face and every line test, against a scan of
+        the term degree along j * step, j >= 1.
+
+        With step entries in [-3, 3], every m, e and m + e along the line
+        has slope at most 18 and offset at most 60, so all of them vanish
+        by j = 60.  Past that each factor's degree is nondecreasing (a
+        product of positive parts, each a nondecreasing affine function,
+        plus max(0, m, -e)), and the prefactor, at least -1084 at j = 60,
+        falls by at most 18 half-units a step.  So a convergent sum has no
+        low term past j of about 1200, which the scan to 2000 covers, and
+        a divergent one has a linear, nonincreasing degree below H past
+        j = 60, which the probe at j = 10^7 sees."""
+        expr, prec = case
+        step = tuple(entries[: expr.rank])
+        assume(gcd(*step) == 1)
+
+        def along(form, units):  # (slope, offset) of the form on the line
+            return (form(step) - form.constant) // units, form.constant // units
+
+        rows = [(*along(a, 2), *along(b, 2)) for a, b in expr.factors]
+        p_slope, p_const = along(expr.prefactor, 1)
+
+        def low(j):
+            return p_slope * j + p_const + sum(
+                tet_min_degree(a * j + b, c * j + d) for a, b, c, d in rows
+            ) < prec
+
+        runs = _Certificate(expr, prec).runs(_line(step))
+        if low(10**7):
+            assert runs is None
+            return
+        scan = [j for j in range(1, 2001) if low(j)]
+        assert all(any(first <= j <= last for first, last in runs) for j in scan)
+        assert max((last for _, last in runs), default=0) == max(scan, default=0)
 
     def test_face_bound_of_ind41(self):
         # on the face k1 = r, |k2| <= r the first factor is at least
