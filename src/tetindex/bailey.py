@@ -9,28 +9,30 @@ at each deeper level, and is computed lazily with memoization per
 
 The step transform multiplies alpha_n pointwise by
     (-1)^n q^(-n/2) I(3t - s + n, 2s - t - n)
-and sends beta through an infinite charge sum that is truncated by a
-symmetric window grown until `margin` values on each end clear the
-precision, with a tail screened to a finite horizon past it.  Window
-and tail are decided by one lower bound for beta's minimal degree,
-obtained by recursively bounding the transform's terms in a scan that
-stops once `_LB_MARGIN` terms on each side clear the target.  That stop
-rule is a heuristic, not a certificate: where the scan hits its cap the
-current minimum is used and a RuntimeWarning is emitted, but a dip just
-past an early stop is missed without one.  One finite kernel sum,
-sum_n I(t, n+m) alpha_n, defines beta at depth 0 and is the right-hand
-side `bailey_verify` checks.
+and sends beta through the charge sum over k of
+    (-1)^m q^((2k-m)/2) I(2t-2s-m, 2s-t+k) I(m+2s-t, k-m-s-t) beta(k).
+With I(t, n+k) for beta(k) that sum is a shifted pentagon (see
+`_pentagon_args`), so by the pentagon identity, a theorem
+(Dimofte-Gaiotto-Gukov, "3-manifolds and 3d indices"), the kernel sum
+    beta_d(k) = sum_n I(t_d, n+k) alpha_n
+holds at every depth.  It defines beta at depth 0, bounds beta's degree
+from below at every depth, and is the right-hand side `bailey_verify`
+checks.  The step window is certified: the step term at k is bounded
+below by the least of the terms at k of one shifted-pentagon sum per
+seed point, each solved exactly by the lattice certificate.
 """
 
 from __future__ import annotations
 
-import warnings
+from math import inf
 
 from .identities import (
+    DEFAULT_MARGIN,
     DEFAULT_WINDOW_CAP,
     CheckReport,
-    _grow_symmetric_window,
+    _members_window,
     _merge,
+    _pentagon_sum,
     compare_series,
 )
 from .series import QSeries, monomial, zero
@@ -45,9 +47,6 @@ __all__ = [
     "bailey_verify",
     "bailey_chain",
 ]
-
-_LB_SCAN_CAP = 64
-_LB_MARGIN = 3
 
 
 def _poly_to_series(poly: tuple[tuple[int, int], ...], prec: int) -> QSeries:
@@ -71,7 +70,7 @@ class BaileyState:
         }
         self.history = tuple(history)
         self._beta_cache: dict[tuple[int, int], QSeries] = {}
-        self._beta_lb: dict[tuple[int, int], int] = {}
+        self._beta_lb: dict[tuple[int, int], float] = {}
         self.window_extents: dict[tuple[int, int], int] = {}
 
     @property
@@ -172,102 +171,61 @@ class BaileyState:
             total = total + (kernel * alpha).truncated(prec)
         return total
 
-    def _step_charges(self, depth: int, m: int, k: int):
-        t = self._t_at(depth - 1)
-        s = self.history[depth - 1]
-        ch1 = (-m - 2 * s + 2 * t, 2 * s - t + k)
-        ch2 = (m + 2 * s - t, k - m - s - t)
-        return ch1, ch2
+    def _pentagon_args(self, depth: int, m: int):
+        """(m1, m2, e1, e2) = (2t-2s-m, m+2s-t, 2s-t, -m-s-t): at e0 = n,
+        the shifted pentagon's sum over k is (-1)^m q^m times the step
+        sum for beta_depth(m) with I(t, n+k) for beta(k), t = m1 + m2
+        the parameter before the step and s the step."""
+        t, s = self._t_at(depth - 1), self.history[depth - 1]
+        return 2 * t - 2 * s - m, m + 2 * s - t, 2 * s - t, -m - s - t
 
-    def _step_term(self, depth: int, m: int, k: int, target: int):
-        """Degree bounds (d1, d2, lb) of the two kernel factors and of
-        beta_{depth-1}(k) in term k of the step sum for beta_depth(m),
-        with lb taken against the term's share of `target`."""
-        ch1, ch2 = self._step_charges(depth, m, k)
-        d1, d2 = tet_min_degree(*ch1), tet_min_degree(*ch2)
-        rem = target - (2 * k - m) - d1 - d2
-        return d1, d2, self._beta_lead_lb(depth - 1, k, rem)
+    def _step_charges(self, depth: int, m: int, k: int):
+        m1, m2, e1, e2 = self._pentagon_args(depth, m)
+        return (m1, e1 + k), (m2, e2 + k)
+
+    def _window_members(self, depth: int, m: int):
+        """One rank-1 sum per seed point n, whose term at k starts at the
+        step term's bound at k against n alone."""
+        m1, m2, e1, e2 = self._pentagon_args(depth, m)
+        return [
+            _pentagon_sum(m1, m2, e1, e2, n, self._alpha_lead(n, depth - 1) - m)
+            for n in self.support()
+        ]
 
     def _beta_step(self, depth: int, m: int, prec: int, min_window: int) -> QSeries:
-        def budget(k):
-            b = self._step_term(depth, m, k, prec)
-            return None if (2 * k - m) + sum(b) >= prec else b
-
-        extent = _grow_symmetric_window(
-            lambda k: budget(k) is None,
-            _LB_MARGIN,
-            DEFAULT_WINDOW_CAP,
-            "Bailey step window",
+        extent = self.window_extents[(depth, m)] = _members_window(
+            self._window_members(depth, m), prec, DEFAULT_MARGIN,
+            DEFAULT_WINDOW_CAP, "Bailey step window",
         )
-        self.window_extents[(depth, m)] = extent
         extent = max(extent, min_window)
         sign = -1 if m % 2 else 1
         total = zero(prec)
         for k in range(-extent, extent + 1):
-            b = budget(k)
-            if b is None:
-                continue
-            d1, d2, lb = b
+            ch1, ch2 = self._step_charges(depth, m, k)
+            d1, d2 = tet_min_degree(*ch1), tet_min_degree(*ch2)
+            lb = self._beta_lead_lb(depth - 1, k)
             pref = 2 * k - m
             rel = prec - pref
-            ch1, ch2 = self._step_charges(depth, m, k)
+            if d1 + d2 + lb >= rel:  # the term starts at or above prec
+                continue
             f1 = tet_index(*ch1, rel - d2 - lb)
             f2 = tet_index(*ch2, rel - d1 - lb)
             bk = self._beta(depth - 1, k, rel - d1 - d2)
             total = total + (f1 * f2 * bk).scaled(sign, pref).truncated(prec)
         return total
 
-    def _beta_lead_lb(self, depth: int, m: int, target: int) -> int:
-        """Lower bound for beta's minimal degree, at most `target`.
-
-        Exact at depth 0.  Deeper it is the minimum of the step terms'
-        bounds over a scan that stops once `_LB_MARGIN` of them on each
-        side clear `target`, which misses a dip beyond the stop; where
-        the scan hits its cap the current minimum is used with a
-        warning.
-        """
+    def _beta_lead_lb(self, depth: int, m: int):
+        """Lower bound for beta's minimal degree, from its kernel sum
+        (infinite for an empty support, where beta is zero)."""
         key = (depth, m)
-        cached = self._beta_lb.get(key)
-        if cached is not None and cached >= target:
-            return cached
-        if depth == 0:
-            lb = target
-            for n in self.support():
-                lb = min(lb, self._alpha_lead(n, 0) + tet_min_degree(self.t0, n + m))
-        else:
-            lb = self._scan_step_lb(depth, m, target)
-        lb = min(lb, target)
-        if cached is None or lb > cached:
-            self._beta_lb[key] = lb
-        return lb
-
-    def _scan_step_lb(self, depth: int, m: int, target: int) -> int:
-        def term_bound(k):
-            return (2 * k - m) + sum(self._step_term(depth, m, k, target))
-
-        best = term_bound(0)
-        stable_pos = stable_neg = 0
-        k = 1
-        while k <= _LB_SCAN_CAP and (
-            stable_pos < _LB_MARGIN or stable_neg < _LB_MARGIN
-        ):
-            if stable_pos < _LB_MARGIN:
-                b = term_bound(k)
-                stable_pos = stable_pos + 1 if b >= target else 0
-                best = min(best, b)
-            if stable_neg < _LB_MARGIN:
-                b = term_bound(-k)
-                stable_neg = stable_neg + 1 if b >= target else 0
-                best = min(best, b)
-            k += 1
-        if stable_pos < _LB_MARGIN or stable_neg < _LB_MARGIN:
-            warnings.warn(
-                "beta degree-bound scan hit its cap; using the scanned "
-                "minimum as a heuristic lower bound",
-                RuntimeWarning,
-                stacklevel=2,
+        if key not in self._beta_lb:
+            t = self._t_at(depth)
+            self._beta_lb[key] = min(
+                (self._alpha_lead(n, depth) + tet_min_degree(t, n + m)
+                 for n in self.support()),
+                default=inf,
             )
-        return best
+        return self._beta_lb[key]
 
 
 def bailey_seed_delta(n0: int, t: int) -> BaileyState:

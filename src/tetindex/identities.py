@@ -12,9 +12,8 @@ requested precision, and only the terms that do are summed.  A sum with
 infinitely many such terms raises at once, naming the side it diverges
 on, and a window wider than its cap raises too, so a failed convergence
 assumption is a loud error instead of a silent truncation.
-The Bailey step window, whose terms are not affine in its index, is
-still grown here by `_grow_symmetric_window`, whose tail is screened
-to a finite horizon by the same test that decides the window.
+The Bailey step window is cut the same way: `_members_window` solves
+one shifted-pentagon sum per seed point and takes the widest window.
 """
 
 from __future__ import annotations
@@ -25,8 +24,10 @@ from .lattice import (
     AffineForm,
     LatticeSumExpr,
     _cap_error,
+    _Certificate,
     _check_window_args,
     _evaluate,
+    _low_points,
     charge_product,
 )
 from .series import QSeries, equal_to_order
@@ -51,8 +52,6 @@ __all__ = [
 
 DEFAULT_MARGIN = 3
 DEFAULT_WINDOW_CAP = 64
-# how far past a candidate Bailey step window its tail screen looks
-TAIL_HORIZON = 200
 
 
 @dataclass(frozen=True)
@@ -97,41 +96,6 @@ def _sign_pow(k: int) -> int:
     return -1 if k % 2 else 1
 
 
-def _grow_symmetric_window(meets, margin: int, cap: int, what: str) -> int:
-    """Smallest window half-width E such that `meets` holds at the
-    outermost `margin` values on both ends and at the TAIL_HORIZON
-    positions beyond them.
-
-    This is the Bailey step window, whose terms are not affine in the
-    summation index.  The degree profile need not be monotone: a term
-    far outside a locally converged window can still dip below the
-    precision, so a dip in the tail forces the window out to it.  The
-    tail is screened by `meets` itself, memoized, so each position is
-    evaluated at most once.  Only dips within the horizon are seen."""
-    _check_window_args(margin, cap, what)
-    known: dict[int, bool] = {}
-
-    def ok(j):
-        if j not in known:
-            known[j] = meets(j)
-        return known[j]
-
-    e = margin
-    while e <= cap:
-        if all(ok(j) and ok(-j) for j in range(e - margin + 1, e + 1)):
-            dip = None
-            for j in range(e + 1, e + TAIL_HORIZON + 1):
-                if not (ok(j) and ok(-j)):
-                    dip = j
-                    break
-            if dip is None:
-                return e
-            e = dip
-        else:
-            e += 1
-    raise _cap_error(what, cap)
-
-
 def triality_check(m: int, e: int, prec: int) -> CheckReport:
     """Both charge-rotation identities
     I(m,e) = (-q^(1/2))^m I(-e-m, m) = (-q^(1/2))^(-e) I(e, -e-m).
@@ -173,6 +137,26 @@ def _pentagon_sum(m1, m2, e1, e2, e0=0, pref_h=0) -> LatticeSumExpr:
         ("e3",), 1, AffineForm((2,), pref_h),
         (factor(m1, e1), factor(m2, e2), factor(m1 + m2, e0)),
     )
+
+
+def _members_window(members, prec: int, margin: int, cap: int, what: str) -> int:
+    """The Bailey step window of a family of rank-1 sums: `margin` past
+    the farthest index at which a term of any member reaches below
+    `prec`, each member solved exactly by the lattice certificate.  A
+    divergent member or a low index past `cap - margin` raises."""
+    _check_window_args(margin, cap, what)
+    extent = margin
+    for expr in members:
+        low = _low_points(_Certificate(expr, prec), margin, cap, what)
+        extent = max(extent, low[0])
+    if extent > cap:  # no member, and a margin past the cap
+        raise _cap_error(what, cap)
+    return extent
+
+
+# Former name of the Bailey step window, kept bound to `_members_window`
+# because bench/spans.py traces the window layer under this name.
+_grow_symmetric_window = _members_window
 
 
 def _report(lhs, rhs_sum, prec, margin, cap, what) -> CheckReport:

@@ -1,7 +1,8 @@
+import itertools
+
 import pytest
 
 from oracle import naive_tet_index, same_to_order
-from tetindex import bailey
 from tetindex.bailey import (
     bailey_beta,
     bailey_chain,
@@ -10,6 +11,8 @@ from tetindex.bailey import (
     bailey_step,
     bailey_verify,
 )
+from tetindex.identities import pentagon_shifted_check
+from tetindex.lattice import _Term
 from tetindex.series import equal_to_order, zero
 from tetindex.tetrahedron import tet_index
 
@@ -158,26 +161,16 @@ class TestVerify:
         rep = bailey_verify(st, (-2, 2), 0)
         assert rep.holds and rep.verified_to == 0
 
-    def test_capped_degree_scan_is_flagged(self, monkeypatch):
-        # a beta degree-bound scan that hits its cap must warn, not pass
-        # quietly, and the check it feeds must still hold
-        monkeypatch.setattr(bailey, "_LB_SCAN_CAP", 1)
-        st = bailey_step(bailey_step(bailey_seed_delta(0, 1), 1), -1)
-        with pytest.warns(RuntimeWarning, match="hit its cap"):
-            rep = bailey_verify(st, (-2, 2), 8)
-        assert rep.holds
-
     def test_chain_report_count(self):
         reports = bailey_chain(1, -1, [0], (-1, 1), 5)
         assert len(reports) == 2 and all(r.holds for r in reports)
 
 
 class TestKnownFalseMismatch:
-    """The chain n0=2, t=1, steps (-2, 1) at H=8 reports a mismatch at
-    depth 2 that is not there: the scan behind the one beta degree bound
-    stops after three clear terms per side, puts beta_1(-3) at
+    """The chain n0=2, t=1, steps (-2, 1) at H=8 once reported a mismatch
+    at depth 2 that is not there: a heuristic scan put beta_1(-3) at
     half-exponent 11 while it starts at q^4, and so the step sum for
-    beta_2 drops the term k = -3 (ROADMAP item 2)."""
+    beta_2 dropped the term k = -3."""
 
     N0, T, STEPS, H = 2, 1, (-2, 1), 8
 
@@ -209,10 +202,36 @@ class TestKnownFalseMismatch:
             assert beta2.prec >= self.H
             assert equal_to_order(beta2, st._kernel_sum(2, m, self.H), self.H)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the beta degree bound is a heuristic scan (ROADMAP item 2)",
-    )
     def test_chain_holds_at_every_level(self):
         reports = bailey_chain(self.N0, self.T, list(self.STEPS), (-2, 2), self.H)
         assert all(r.holds for r in reports)
+
+
+class TestShiftedPentagonStep:
+    """The step sum is a shifted pentagon: against one seed point n, with
+    beta_{d-1}(k) replaced by I(t, n+k), its sum over k is the shifted
+    pentagon's right-hand side at (m1, m2, e1, e2, e0) =
+    (2t-2s-m, m+2s-t, 2s-t, -m-s-t, n).  That identity is what the beta
+    degree bound and the step windows rest on."""
+
+    def test_every_step_is_a_shifted_pentagon_that_holds(self):
+        for t, s, n, m in itertools.product(range(-2, 3), repeat=4):
+            args = (2 * t - 2 * s - m, m + 2 * s - t, 2 * s - t, -m - s - t)
+            assert pentagon_shifted_check(*args, n, 8).holds, (t, s, n, m)
+            st = bailey_step(bailey_seed_delta(n, t), s)
+            assert st._pentagon_args(1, m) == args
+            (member,) = st._window_members(1, m)
+            for k in range(-5, 6):
+                charges, pref_h = _Term(member).at((k,))
+                assert charges == [*st._step_charges(1, m, k), (t, n + k)]
+                assert pref_h == 2 * k - m
+
+    def test_every_two_step_chain_holds(self):
+        for n0, t, s1, s2 in itertools.product(range(-2, 3), repeat=4):
+            reports = bailey_chain(n0, t, [s1, s2], (-2, 2), 8)
+            assert all(r.holds for r in reports), (n0, t, s1, s2)
+
+    def test_empty_support_steps_to_zero(self):
+        st = bailey_step(bailey_seed(0, {}), 1)
+        assert st.beta(0, 8) == zero(8) and st.window_extents[(1, 0)] == 3
+        assert bailey_verify(st, (-2, 2), 8).holds

@@ -8,8 +8,7 @@ from oracle import naive_pentagon_lhs, naive_pentagon_rhs, naive_tet_index, same
 from tetindex import tetrahedron
 from tetindex.errors import StabilizationError
 from tetindex.identities import (
-    TAIL_HORIZON,
-    _grow_symmetric_window,
+    _members_window,
     compare_series,
     duality_check,
     pentagon_check,
@@ -512,40 +511,49 @@ class TestRank1Extent:
 
 
 class TestGrowSymmetricWindow:
-    """The Bailey step window, on synthetic profiles: `meets(j)` is true
-    where term j clears the precision."""
+    """The Bailey step window `_members_window`, on families of rank-1
+    sums: `dip(c)` has terms of degree |j-c| (|j-c| + 1), so below
+    half-exponent 8 exactly on |j - c| <= 2 and below 1 only at j = c."""
 
     @staticmethod
-    def grow(low, margin=3, cap=400):
-        calls = []
+    def dip(c):
+        return _term_expr(lambda j: (((0, j - c), (0, c - j)), 0))
 
-        def meets(j):
-            calls.append(j)
-            return j not in low
-
-        return _grow_symmetric_window(meets, margin, cap, "step window"), calls
+    @staticmethod
+    def window(members, prec, margin=3, cap=400):
+        return _members_window(members, prec, margin, cap, "Bailey step window")
 
     def test_low_terms_near_the_origin(self):
-        assert self.grow(set(range(-2, 3)))[0] == 3 + 2
+        assert self.window([self.dip(0)], 8) == 2 + 3
 
     def test_a_dip_in_the_tail_widens_the_window(self):
-        e = 3 + 2
-        assert self.grow(set(range(-2, 3)) | {e + 150})[0] == e + 150 + 3
+        # the widest member sets the window
+        assert self.window([self.dip(0), self.dip(150)], 8) == 152 + 3
+        assert self.window([self.dip(150), self.dip(0)], 8) == 152 + 3
 
-    def test_a_dip_past_the_horizon_is_not_seen(self):
-        # the documented limit of the finite tail screen
-        e = 3 + 2
-        assert self.grow(set(range(-2, 3)) | {-(e + TAIL_HORIZON + 1)})[0] == e
+    def test_a_dip_past_the_old_horizon_is_seen(self):
+        # the only low term lies 206 out, past the 200 positions that a
+        # finite tail screen behind a converged window used to look at
+        assert self.window([self.dip(-206)], 1) == 206 + 3
 
-    def test_each_position_is_evaluated_once(self):
-        extent, calls = self.grow(set(range(-2, 3)) | {160})
-        assert extent == 163
-        assert len(calls) == len(set(calls))
+    def test_a_far_dip_is_solved_not_walked(self):
+        assert self.window([self.dip(10**6)], 1, 1, 10**7) == 10**6 + 1
+
+    def test_no_member_leaves_the_margin(self):
+        assert self.window([], 8) == 3
+        with pytest.raises(StabilizationError, match="not stabilized within cap 2"):
+            self.window([], 8, cap=2)
 
     def test_zero_margin_rejected(self):
         with pytest.raises(ValueError, match="margin must be at least 1"):
-            self.grow(set(), margin=0)
+            self.window([self.dip(0)], 8, margin=0)
 
     def test_cap_error(self):
-        with pytest.raises(StabilizationError, match="step window not stabilized"):
-            self.grow(set(range(-50, 51)), cap=40)
+        with pytest.raises(StabilizationError, match="Bailey step window not stabilized"):
+            self.window([self.dip(0), self.dip(150)], 8, cap=40)
+
+    def test_divergent_member_raises(self):
+        # I(0, j) has degree 0 for every j >= 0
+        flat = _term_expr(lambda j: (((0, j),), 0))
+        with pytest.raises(StabilizationError, match="Bailey step window along .* diverges"):
+            self.window([self.dip(0), flat], 1)
