@@ -29,6 +29,15 @@ precision are tested (see `_Certificate` and `_low_points`).  A
 divergent sum raises at once, naming a line on which it diverges, and
 so does a box wider than its cap.  The built-in `ind41` expression is
 the figure-eight-knot index sum_{k1,k2} I(k1,k2) I(k2,k1).
+
+The summed points are grouped into orbits of the sum's symmetry group,
+the signed permutations of the lattice under which the forms are
+unchanged: the prefactor as it is, and the factor list up to order and
+up to the duality I(m, e) = I(-e, -m).  The group is found from the
+forms, never from values (`_symmetry_group`).  Each orbit costs one
+index product times its size, and the products are added into one
+dense integer list (`_orbit_sum`).  ind41's group has 4 elements and
+the cyclic rank-3 sum I(a,b) I(b,c) I(c,a)'s has 6.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ from math import gcd, prod
 from operator import add
 
 from .errors import ExprSyntaxError, StabilizationError
-from .series import QSeries, half_exp_str, zero
+from .series import QSeries, _from_array, half_exp_str, zero
 from .tetrahedron import term_degree, tet_index, tet_min_degree
 
 __all__ = [
@@ -667,26 +676,127 @@ def _low_points(cert: _Certificate, margin: int, cap: int, what: str = "lattice 
     return margin + far, points
 
 
+# rank -> every signed permutation of Z^rank but the identity, built on
+# first use
+_SIGNED_PERMS: dict[int, list] = {}
+
+
+def _act(g, v) -> tuple:
+    """The signed permutation g = (source, signs) applied to a point or a
+    coefficient vector v: (signs[j] * v[source[j]])_j."""
+    source, signs = g
+    return tuple([s * v[i] for i, s in zip(source, signs)])
+
+
+def _factor_keys(factors, g):
+    """The factors' forms, with their coefficients mapped by g, as one
+    sorted list in which each factor (m, e) is the lesser of itself and
+    its dual (-e, -m)."""
+    keys = []
+    for m, e in factors:
+        m_key, e_key = (m.constant, *_act(g, m.coeffs)), (e.constant, *_act(g, e.coeffs))
+        dual = (tuple([-x for x in e_key]), tuple([-x for x in m_key]))
+        keys.append(min((m_key, e_key), dual))
+    keys.sort()
+    return keys
+
+
+def _symmetry_group(expr: LatticeSumExpr) -> list:
+    """The signed permutations g of Z^rank, the identity first, under
+    which the term is unchanged, term(g k) = term(k) at every k, read
+    from the forms alone and never from values: g must leave the
+    prefactor form as it is and map the factor list onto itself up to
+    order and up to the duality I(m, e) = I(-e, -m) (Dimofte-Gaiotto-
+    Gukov, "3-manifolds and 3d indices").
+
+    On coefficients, `_act(g, .)` turns a form f into k -> f(g^-1 k),
+    with g acting on points by `_act` too; the maps that pass are closed
+    under inverses and composition, a group, so testing g^-1 tests g.
+    The identity is not tested, and the prefactor is tested first, so a
+    sum whose prefactor has a slope rejects most maps without reading a
+    factor."""
+    rank = expr.rank
+    identity = (tuple(range(rank)), (1,) * rank)
+    perms = _SIGNED_PERMS.get(rank)
+    if perms is None:
+        perms = _SIGNED_PERMS[rank] = [
+            (source, signs)
+            for source in itertools.permutations(range(rank))
+            for signs in itertools.product((1, -1), repeat=rank)
+            if (source, signs) != identity
+        ]
+    pref, group, keys = expr.prefactor.coeffs, [identity], None
+    for g in perms:
+        source, signs = g
+        if any(pref[i] * s != c for i, s, c in zip(source, signs, pref)):
+            continue
+        if keys is None:
+            keys = _factor_keys(expr.factors, identity)
+        if _factor_keys(expr.factors, g) == keys:
+            group.append(g)
+    return group
+
+
+def _orbit_sum(expr: LatticeSumExpr, terms: dict, prec: int) -> QSeries:
+    """The sum of `terms`, a map from lattice points to their (charges,
+    pref_h), truncated at `prec`.
+
+    The points must be a set that the symmetry group of the sum maps
+    onto itself, as the origin with the certified low points and a cube
+    are.  Each orbit is summed once, as one `charge_product` at one of
+    its points times the orbit's size.  Raises RuntimeError if the orbits
+    do not cover the points exactly, which would count terms outside them.
+    The products go into one dense integer list, which starts at the
+    lowest lead so far and grows downward when a product starts lower."""
+    sign = expr.sign
+    group = _symmetry_group(expr) if len(terms) > 1 else ()
+    if len(group) < 2:
+        reps = [(term, sign) for term in terms.values()]
+    else:
+        seen, reps = set(), []
+        for p, term in terms.items():
+            if p not in seen:
+                orbit = {_act(g, p) for g in group}
+                seen |= orbit
+                reps.append((term, sign * len(orbit)))
+        if len(seen) != len(terms):
+            raise RuntimeError(
+                f"the orbits of {len(reps)} points hold {len(seen)} points, "
+                f"not the {len(terms)} to be summed"
+            )
+    if len(reps) == 1:
+        (charges, pref_h), c = reps[0]
+        return charge_product(charges, pref_h, c, prec)
+    total, low = [], prec
+    for (charges, pref_h), c in reps:
+        s = charge_product(charges, pref_h, c, prec)
+        if s.lead < low:
+            total[:0] = [0] * (low - s.lead)
+            low = s.lead
+        i = s.lead - low
+        total[i:] = map(add, total[i:], s.coeffs)
+    return _from_array(low, total, prec)
+
+
 def _evaluate(expr, prec, margin, cap, what, min_box=0):
     """The sum and its box half-width, `what` naming it in errors; a cap
     of None is `box_cap_default`.
 
-    Only the origin and the low points of `_low_points` are summed; every
+    Only the origin and the low points of `_low_points` are summed, one
+    orbit of the sum's symmetry group at a time (`_orbit_sum`); every
     other term is zero to this precision.  `min_box` sums the full cube
     of that half-width instead, if it is larger (stability-replay
     tests)."""
     cap = box_cap_default(expr.rank) if cap is None else cap
     _check_window_args(margin, cap, what)
     cert = _Certificate(expr, prec)
-    extent, low = _low_points(cert, margin, cap, what)
-    at = cert.term.at
-    terms = [at((0,) * expr.rank), *low.values()]
+    extent, terms = _low_points(cert, margin, cap, what)
+    at, origin = cert.term.at, (0,) * expr.rank
+    terms[origin] = at(origin)
     if min_box > extent:
-        terms = map(at, itertools.product(range(-min_box, min_box + 1), repeat=expr.rank))
-    total = zero(prec)
-    for charges, pref_h in terms:
-        total = total + charge_product(charges, pref_h, expr.sign, prec)
-    return total, extent
+        cube = itertools.product(range(-min_box, min_box + 1), repeat=expr.rank)
+        terms = {p: at(p) for p in cube}
+    return _orbit_sum(expr, terms, prec), extent
 
 
 def eval_expr_with_box(

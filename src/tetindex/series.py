@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import add, neg
 
 from .errors import PrecisionError
 
@@ -97,7 +98,8 @@ class QSeries:
             return self
         if prec <= self.lead:
             return zero(prec)
-        return _from_array(self.lead, list(self.coeffs[: prec - self.lead]), prec)
+        # a prefix of a canonical series is canonical
+        return QSeries(self.lead, self.coeffs[: prec - self.lead], prec)
 
     def scaled(self, c: int, h: int) -> QSeries:
         """Exact multiplication by the monomial c * q^(h/2), c != 0."""
@@ -107,6 +109,8 @@ class QSeries:
             return zero(self.prec + h)
         if c == 1:
             coeffs = self.coeffs
+        elif c == -1:
+            coeffs = tuple(map(neg, self.coeffs))
         else:
             coeffs = tuple(c * a for a in self.coeffs)
         return QSeries(self.lead + h, coeffs, self.prec + h)
@@ -120,14 +124,12 @@ class QSeries:
             return other.truncated(prec)
         if not other.coeffs:
             return self.truncated(prec)
-        lead = min(self.lead, other.lead)
-        out = [0] * (prec - lead)
-        for s in (self, other):
-            top = min(len(s.coeffs), prec - s.lead)
-            off = s.lead - lead
-            for i in range(top):
-                out[off + i] += s.coeffs[i]
-        return _from_array(lead, out, prec)
+        low, high = (self, other) if self.lead <= other.lead else (other, self)
+        # the lower operand's coefficients, with the other's added in place
+        out = list(low.coeffs[: prec - low.lead])
+        off = high.lead - low.lead
+        out[off:] = map(add, out[off:], high.coeffs)
+        return _from_array(low.lead, out, prec)
 
     def __sub__(self, other: QSeries) -> QSeries:
         return self + (-other)
@@ -143,7 +145,9 @@ class QSeries:
         if n <= 0:
             return zero(prec)
         if n >= KRONECKER_MIN:
-            out = _kronecker(self.coeffs[:n], other.coeffs[:n])
+            a = self.coeffs[:n]
+            # a square is packed once (the same tuple object twice)
+            out = _kronecker(a, a if other is self else other.coeffs[:n])
             return _from_array(lead, out, prec)
         out = [0] * n
         for i, ca in enumerate(self.coeffs):
@@ -219,11 +223,13 @@ def _kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     """The first n coefficients of the product of two length-n coefficient
     sequences, by Kronecker substitution: evaluate both at a power of two
     wide enough that no product coefficient overflows its slot, multiply
-    the two ints (CPython's Karatsuba) and read the slots back."""
-    n = len(a)
+    the two ints (CPython's Karatsuba) and read the slots back.  A square,
+    `b is a`, is packed once and squared."""
+    n, square = len(a), b is a
     # a series in q (no odd offset) is packed with every other coefficient
     step = 1 if any(a[1::2]) or any(b[1::2]) else 2
-    a, b = a[::step], b[::step]
+    a = a[::step]
+    b = a if square else b[::step]
     m = len(a)
     # |c_k| <= m * max|a| * max|b| < 2^bound; one more bit holds the sign
     bound = (
@@ -231,7 +237,8 @@ def _kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     )
     bits = 8 * (bound // 8 + 1)
     ones = int.from_bytes((b"\x01" + bytes(bits // 8 - 1)) * m, "little")
-    product = _pack(a, bits, ones) * _pack(b, bits, ones)
+    packed = _pack(a, bits, ones)
+    product = packed * (packed if square else _pack(b, bits, ones))
     out = [0] * n
     out[::step] = _unpack(product, m, bits, ones)
     return out

@@ -92,7 +92,9 @@ def tet_term(n: int, m: int, e: int, prec: int) -> QSeries:
     if lead >= prec:
         return zero(prec)
     rel = prec - lead
-    body = _row(n, rel) * _row(n + e, rel)
+    row = _row(n, rel)
+    # at e == 0 both rows are one object, and the product is a square
+    body = row * (row if e == 0 else _row(n + e, rel))
     return body.scaled(-1 if n % 2 else 1, lead)
 
 

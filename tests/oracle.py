@@ -6,6 +6,8 @@ fixed and huge, there is no caching and no early stopping.  Keep this
 file dumb; its value is that it can only be wrong independently.
 """
 
+import itertools
+
 N_WINDOW = 200  # summands taken above the summation floor
 E_WINDOW = 32  # half-width of fixed charge-sum windows
 
@@ -29,6 +31,11 @@ def dict_mul(a, b, prec):
             if h < prec:
                 out[h] = out.get(h, 0) + ca * cb
     return trim(out, prec)
+
+
+def dict_scale(a, c, h):
+    """c * q^(h/2) * a, for c != 0."""
+    return {x + h: c * y for x, y in a.items()}
 
 
 def dict_inv(a, prec):
@@ -77,6 +84,28 @@ def naive_min_degree(m, e, prec):
     d = naive_tet_index(m, e, prec)
     assert d, f"oracle precision {prec} too low to see the degree of I({m},{e})"
     return min(d)
+
+
+def naive_lattice_sum(term, rank, half_width, prec):
+    """The sum of term(k) over the whole cube max|k_j| <= half_width, with
+    term(k) = (sign, pref_h, [(m, e), ...]) standing for
+    sign * q^(pref_h/2) * prod I(m, e).  Each factor is summed to
+    prec - pref_h, which is enough because no index has a term below
+    q^0 (asserted on every factor)."""
+    out = {}
+    side = range(-half_width, half_width + 1)
+    for k in itertools.product(side, repeat=rank):
+        sign, pref_h, charges = term(k)
+        rel = prec - pref_h
+        if rel <= 0:
+            continue
+        prod = {0: sign}
+        for m, e in charges:
+            factor = naive_tet_index(m, e, rel)
+            assert min(factor, default=0) >= 0, (m, e)
+            prod = dict_mul(prod, factor, rel)
+        out = dict_add(out, {h + pref_h: c for h, c in prod.items()}, prec)
+    return out
 
 
 def naive_pentagon_lhs(m1, m2, e1, e2, prec):

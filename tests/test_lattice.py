@@ -3,13 +3,15 @@ import operator
 import random
 import re
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from oracle import naive_lattice_sum, same_to_order
 from tetindex.errors import ExprSyntaxError, StabilizationError
-from tetindex.identities import pentagon_rhs
+from tetindex.identities import _pentagon_sum, pentagon_rhs
 from tetindex.lattice import (
     IND41_TEXT,
     AffineForm,
@@ -19,7 +21,10 @@ from tetindex.lattice import (
     _faces,
     _line,
     _low_points,
+    _orbit_sum,
     _split,
+    _symmetry_group,
+    _Term,
     box_cap_default,
     charge_product,
     eval_expr,
@@ -404,6 +409,155 @@ class TestCertificate:
         for p in itertools.product(range(-extent, extent + 1), repeat=3):
             total = total + charge_product(_charges(expr, p), 0, 1, 10)
         assert s == total
+
+
+RANK3_FILE = Path(__file__).resolve().parent.parent / "bench" / "exprs" / "rank3.txt"
+
+
+def _act(g, v):
+    source, signs = g
+    return tuple(s * v[i] for i, s in zip(source, signs))
+
+
+@st.composite
+def _symmetric_sums(draw):
+    """Random rank-2 and rank-3 sums symmetric by construction under a
+    random signed permutation g: the factors of a random base term with
+    their coefficients mapped by every power of g, and the sum of the
+    base prefactor mapped likewise.  Returns the sum, g and a precision."""
+    rank = draw(st.sampled_from((2, 3)))
+    signs = st.sampled_from((1, -1))
+    g = (
+        tuple(draw(st.permutations(range(rank)))),
+        tuple(draw(st.lists(signs, min_size=rank, max_size=rank))),
+    )
+    slopes = st.lists(st.integers(-2, 2), min_size=rank, max_size=rank)
+    # the order of g: the first power that fixes a vector of distinct
+    # nonzero entries
+    generic, order = tuple(range(1, rank + 1)), 1
+    while _act(g, generic) != tuple(range(1, rank + 1)):
+        generic, order = _act(g, generic), order + 1
+
+    def orbit(coeffs):
+        out = [tuple(coeffs)]
+        while len(out) < order:
+            out.append(_act(g, out[-1]))
+        return out
+
+    def charge():  # whole units, stored in half-units
+        return [2 * c for c in draw(slopes)], 2 * draw(st.integers(-2, 2))
+
+    factors = []
+    for _ in range(draw(st.integers(1, 2))):
+        (m, mc), (e, ec) = charge(), charge()
+        factors += [
+            (AffineForm(gm, mc), AffineForm(ge, ec)) for gm, ge in zip(orbit(m), orbit(e))
+        ]
+    pref = [sum(col) for col in zip(*orbit(draw(slopes)))]
+    expr = LatticeSumExpr(
+        tuple("abc"[:rank]), draw(signs), AffineForm(tuple(pref), draw(st.integers(-4, 4))),
+        tuple(factors),
+    )
+    return expr, g, draw(st.integers(0, 20))
+
+
+class TestSymmetry:
+    """The symmetry group of a sum, read from its forms, and the sum over
+    its orbits."""
+
+    def test_ind41_group(self):
+        group = _symmetry_group(parse_expr(IND41_TEXT))
+        # the identity, (k2, k1), (-k2, -k1) and (-k1, -k2)
+        assert sorted(group) == sorted(
+            [((0, 1), (1, 1)), ((1, 0), (1, 1)), ((1, 0), (-1, -1)), ((0, 1), (-1, -1))]
+        )
+
+    def test_rank3_cyclic_group(self):
+        # the three rotations, each also reversed and negated by duality
+        assert len(_symmetry_group(load_expr_file(RANK3_FILE))) == 6
+
+    def test_pentagon_sums_have_no_symmetry(self):
+        # each prefactor has slope 1 in e3, which k -> -k reverses
+        for m1, m2, e1, e2 in itertools.product(range(-2, 3), repeat=4):
+            assert len(_symmetry_group(_pentagon_sum(m1, m2, e1, e2))) == 1
+        for m1, m2, e1, e2, e0 in itertools.product(range(-1, 2), repeat=5):
+            expr = _pentagon_sum(m1, m2, e1, e2, e0, m2 - e1)
+            assert len(_symmetry_group(expr)) == 1
+
+    def test_translated_ind41_has_no_symmetry(self):
+        # its terms are those of ind41 moved by 7 along k1, a map that
+        # fixes no point and is no signed permutation
+        expr = parse_expr("sum k1 k2 : I(k1 - 7, k2) * I(k2, k1 - 7)")
+        assert len(_symmetry_group(expr)) == 1
+
+    def test_equal_values_of_different_forms_are_no_symmetry(self):
+        # by triality I(-k, -2k) = q^k I(-2k, 3k) and I(2k, -3k) = q^k I(k, 2k),
+        # so the terms at k and -k agree; but k -> -k changes the forms,
+        # and the group is read from forms
+        expr = parse_expr("sum k : q^(k) * I(k, 2*k) * I(-2*k, 3*k)")
+        at = _Term(expr).at
+        for k in range(1, 4):
+            assert charge_product(*at((k,)), 1, 120) == charge_product(*at((-k,)), 1, 120)
+        assert len(_symmetry_group(expr)) == 1
+
+    def test_charge_products_per_orbit(self, monkeypatch):
+        import tetindex.lattice as lattice
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return charge_product(*args)
+
+        monkeypatch.setattr(lattice, "charge_product", counted)
+        # 217 and 43 points summed one by one
+        for expr, prec, want in [
+            (parse_expr(IND41_TEXT), 80, 61),
+            (load_expr_file(RANK3_FILE), 6, 11),
+        ]:
+            calls.clear()
+            eval_expr_with_box(expr, prec)
+            assert len(calls) == want
+            # the orbit sizes add up to the points: the origin and the low points
+            assert sum(abs(c[2]) for c in calls) == 1 + len(
+                _low_points(_Certificate(expr, prec), 3, box_cap_default(expr.rank))[1]
+            )
+
+    def test_orbits_must_cover_the_points(self):
+        # (1, 0) without the rest of its orbit would be counted four times
+        expr = parse_expr(IND41_TEXT)
+        at = _Term(expr).at
+        with pytest.raises(RuntimeError, match="orbits"):
+            _orbit_sum(expr, {p: at(p) for p in [(0, 0), (1, 0)]}, 10)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_symmetric_sums())
+    @example((parse_expr(IND41_TEXT), ((1, 0), (-1, -1)), 10))
+    @example((load_expr_file(RANK3_FILE), ((1, 2, 0), (1, 1, 1)), 8))
+    def test_orbit_sum_is_the_plain_sum(self, case):
+        expr, g, prec = case
+        group = _symmetry_group(expr)
+        assert g in group
+        at = _Term(expr).at
+        cube = list(itertools.product(range(-2, 3), repeat=expr.rank))
+        plain = zero(prec)
+        for p in cube:
+            plain = plain + charge_product(*at(p), expr.sign, prec)
+        assert _orbit_sum(expr, {p: at(p) for p in cube}, prec) == plain
+
+    def test_ind41_against_the_oracle(self):
+        # every low point of ind41 at H = 12 lies within radius 6
+        want = naive_lattice_sum(lambda k: (1, 0, [(k[0], k[1]), (k[1], k[0])]), 2, 6, 12)
+        assert same_to_order(want, ind41(12), 12)
+
+    def test_rank3_against_the_oracle(self):
+        # its box at H = 6 is 8, so every low point lies within radius 5
+        want = naive_lattice_sum(
+            lambda k: (1, 0, [(k[0], k[1]), (k[1], k[2]), (k[2], k[0])]), 3, 5, 6
+        )
+        got, box = eval_expr_with_box(load_expr_file(RANK3_FILE), 6)
+        assert box == 8
+        assert same_to_order(want, got, 6)
 
 
 class TestFiles:

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import dict_inv, dict_mul, naive_qpoch, same_to_order, series_to_dict
+from oracle import (
+    dict_add,
+    dict_inv,
+    dict_mul,
+    dict_scale,
+    naive_qpoch,
+    same_to_order,
+    series_to_dict,
+    trim,
+)
 from tetindex.errors import PrecisionError
 from tetindex.series import (
     KRONECKER_MIN,
@@ -102,6 +111,17 @@ class TestAdd:
         s = a + b
         assert s.is_zero and s.prec == 4
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(random_series(), long_series()), st.one_of(random_series(), long_series()))
+    def test_sum_against_oracle(self, a, b):
+        for s in (a + b, b + a, a + (-a)):
+            assert_canonical(s)
+        prec = min(a.prec, b.prec)
+        s = a + b
+        assert s.prec == prec and s == b + a
+        assert same_to_order(dict_add(series_to_dict(a), series_to_dict(b), prec), s, prec)
+        assert (a + (-a)).is_zero
+
 
 class TestMul:
     def test_difference_of_squares(self):
@@ -139,6 +159,17 @@ class TestMul:
         assert s.prec == prec
         assert_canonical(s)
         want = dict_mul(series_to_dict(a), series_to_dict(b), prec)
+        assert same_to_order(want, s, prec)
+
+    @settings(max_examples=100, deadline=None)
+    @given(long_series())
+    def test_squares_against_oracle(self, a):
+        # one operand twice is packed once and squared
+        s = a * a
+        prec = a.prec + a.lead
+        assert s.prec == prec
+        assert_canonical(s)
+        want = dict_mul(series_to_dict(a), series_to_dict(a), prec)
         assert same_to_order(want, s, prec)
 
     @pytest.mark.parametrize("c", [2**65 - 1, -(2**65 - 1), 255, -256])
@@ -284,3 +315,24 @@ class TestTruncateScale:
         a = series(0, [1, 2], 2)
         s = a.scaled(-1, 3)
         assert s.lead == 3 and s.prec == 5 and s.coeffs == (-1, -2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(random_series(), long_series()), st.integers(0, 130))
+    def test_truncation_against_oracle(self, a, cut):
+        prec = a.prec - cut
+        t = a.truncated(prec)
+        assert_canonical(t)
+        assert t.prec == prec
+        assert same_to_order(trim(series_to_dict(a), prec), t, prec)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(random_series(), long_series()),
+        st.sampled_from((1, -1, 3, -7)),
+        st.integers(-5, 5),
+    )
+    def test_scaling_against_oracle(self, a, c, h):
+        s = a.scaled(c, h)
+        assert_canonical(s)
+        assert s.prec == a.prec + h
+        assert same_to_order(dict_scale(series_to_dict(a), c, h), s, s.prec)
