@@ -16,11 +16,22 @@ Arithmetic cost:
   nonzero coefficient at an odd offset from its lead (a series in q, not
   q^(1/2), such as every 1/(q;q)_n) only every other coefficient is
   packed, which halves the integers.
-- `inverse` solves the triangular recursion over the nonzero
-  coefficients of the divisor only.  (q;q)_n is sparse: by Euler's
-  pentagonal theorem (q;q)_inf has O(sqrt(H)) nonzero coefficients below
-  q^H, so inverting it costs O(H sqrt(H)), not O(H^2).  `extend_inverse`
-  resumes the recursion from an inverse known to a lower precision.
+- `inverse` has two paths, chosen by the exact number of multiply-adds
+  the triangular recursion over the nonzero coefficients of the divisor
+  would take.  Below `NEWTON_MIN` it runs that recursion, which is cheap
+  for a sparse divisor: by Euler's pentagonal theorem (q;q)_inf has
+  O(sqrt(H)) nonzero coefficients below q^H.  But (q;q)_n is dense
+  below q^(n(n+1)/2) ((q;q)_34 has 492 nonzero coefficients among its
+  600 below q^600), so from `NEWTON_MIN` on the recursion solves a seed block of
+  128 coefficients and Newton iteration (Brent and Kung, "Fast
+  algorithms for manipulating formal power series") doubles it, with two
+  Kronecker products per doubling.  On the 116 inversions of a
+  kernel-highprec pass (2-core x86-64 VM, CPython 3.11), each timed
+  alone, in two sweeps: 0.077-0.084 s by the recursion only,
+  0.052-0.055 s by Newton only, and with the crossover at 5k / 10k / 20k
+  / 40k multiply-adds 0.041-0.044 / 0.040-0.043 / 0.041-0.045 /
+  0.062-0.067 s.  `extend_inverse` resumes either path from an inverse
+  known to a lower precision.
 - `qpoch` memoizes (q;q)_k for every k and builds (q;q)_n from the
   highest one cached, one shift-and-subtract per factor.
 """
@@ -47,6 +58,10 @@ __all__ = [
 # products whose operands both have at least this many coefficients go
 # through one big-integer multiplication (Kronecker substitution)
 KRONECKER_MIN = 32
+# an inverse whose triangular recursion would take at least this many
+# multiply-adds is lifted by Newton iteration instead; the sweep behind
+# the value is in the module docstring
+NEWTON_MIN = 10_000
 
 
 @dataclass(frozen=True)
@@ -177,9 +192,10 @@ class QSeries:
 
 
 def _solve_inverse(a: QSeries, known: QSeries | None) -> QSeries:
-    """1/a by the triangular recursion over the nonzero coefficients of
-    a, starting past the coefficients of `known` (1/a to a lower
-    precision) if given."""
+    """1/a, starting past the coefficients of `known` (1/a to a lower
+    precision) if given: by the triangular recursion over the nonzero
+    coefficients of a, or by Newton lifting once that recursion would
+    cost `NEWTON_MIN` multiply-adds or more."""
     if not a.coeffs or a.lead != 0:
         raise ValueError("inverse requires a series with lead 0")
     a0 = a.coeffs[0]
@@ -194,19 +210,33 @@ def _solve_inverse(a: QSeries, known: QSeries | None) -> QSeries:
     # every exponent of the inverse; the others stay zero
     step = gcd(*(j for j, _ in terms)) or n
     out = [0] * n
-    out[0], start = a0, step
+    out[0], start, exact = a0, step, 1
     if known is not None:
         if not known.coeffs or known.lead != 0 or known.prec > n:
             raise ValueError("a resumed inverse must start at lead 0 below prec")
         out[: known.prec] = known.coeffs
         start = -(-known.prec // step) * step
-    for k in range(start, n, step):
+        exact = known.prec
+    # the recursion's multiply-adds: term j enters every solved k >= j
+    ops = sum(-(-(n - max(start, j)) // step) for j, _ in terms)
+    # past NEWTON_MIN the recursion solves only a seed block of 128
+    # coefficients, none if `known` reaches past it, and Newton the rest
+    exact = n if ops < NEWTON_MIN else min(n, max(exact, 128))
+    for k in range(start, exact, step):
         acc = 0
         for j, aj in terms:
             if j > k:
                 break
             acc += aj * out[k - j]
         out[k] = -a0 * acc
+    # Newton: with g = 1/a to q^p, a g - 1 = q^p r and 1/a = g - q^p g r
+    # to q^(2p); the residual r is taken from one product and g r from a
+    # second, both to the new precision only
+    while exact < n:
+        top = min(2 * exact, n)
+        residual = _kronecker(a.coeffs[:top], out[:top])[exact:]
+        out[exact:top] = map(neg, _kronecker(out[: top - exact], residual))
+        exact = top
     return _from_array(0, out, n)
 
 

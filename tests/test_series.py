@@ -1,5 +1,7 @@
+import functools
 import itertools
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +17,11 @@ from oracle import (
     series_to_dict,
     trim,
 )
+from tetindex import series as series_module
 from tetindex.errors import PrecisionError
 from tetindex.series import (
     KRONECKER_MIN,
+    NEWTON_MIN,
     QSeries,
     equal_to_order,
     monomial,
@@ -250,6 +254,85 @@ class TestInverse:
             qpoch(3, 10).extend_inverse(qpoch(3, 12).inverse())
         with pytest.raises(ValueError):
             qpoch(3, 10).extend_inverse(zero(0))
+
+
+def recursion_ops(a):
+    """The multiply-adds the triangular recursion spends on 1/a, counted
+    loop by loop: every solved k (a multiple of the gcd of the divisor's
+    exponents) takes one per nonzero a_j with 0 < j <= k."""
+    js = [j for j, c in enumerate(a.coeffs) if j and c]
+    step = gcd(*js) or a.prec
+    return sum(j <= k for k in range(step, a.prec, step) for j in js)
+
+
+def dense_unit(rng, n, a0, stride):
+    """A lead-0 series of n coefficients, constant term a0, with a
+    nonzero coefficient of at most 3 in absolute value at every multiple
+    of `stride` and zeros elsewhere."""
+    coeffs = [a0] + [
+        rng.choice((-3, -2, -1, 1, 2, 3)) if i % stride == 0 else 0
+        for i in range(1, n)
+    ]
+    return QSeries(0, tuple(coeffs), n)
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_600(a0):
+    """A dense unit series of 600 coefficients and its inverse, checked
+    against the oracle."""
+    a = dense_unit(random.Random(600 + a0), 600, a0, 1)
+    assert recursion_ops(a) >= NEWTON_MIN
+    cold = a.inverse()
+    assert same_to_order(dict_inv(series_to_dict(a), 600), cold, 600)
+    return a, cold
+
+
+class TestDenseInverse:
+    """Divisors whose recursion would cost at least NEWTON_MIN
+    multiply-adds, which are inverted by Newton lifting."""
+
+    @pytest.mark.parametrize("a0", [1, -1])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_dense_inverse_against_oracle(self, a0, stride):
+        rng = random.Random(1000 * stride + a0)
+        # stride 3 has a ninth of the work of stride 1 at equal length
+        for n in (rng.randint(300 if stride < 3 else 450, 800) for _ in range(2)):
+            a = dense_unit(rng, n, a0, stride)
+            assert recursion_ops(a) >= NEWTON_MIN
+            assert same_to_order(dict_inv(series_to_dict(a), n), a.inverse(), n)
+
+    def test_dense_path_is_taken_only_above_the_crossover(self, monkeypatch):
+        products = []
+        kronecker = series_module._kronecker
+
+        def counted(x, y):
+            products.append(len(x))
+            return kronecker(x, y)
+
+        monkeypatch.setattr(series_module, "_kronecker", counted)
+        sparse = qpoch(5, 300)
+        assert recursion_ops(sparse) < NEWTON_MIN
+        sparse.inverse()
+        assert products == []
+        dense = qpoch(20, 600)
+        assert recursion_ops(dense) >= NEWTON_MIN
+        dense.inverse()
+        # two products per doubling from the 128-coefficient seed block
+        assert products == [256, 128, 512, 256, 600, 88]
+
+    @pytest.mark.parametrize("a0", [1, -1])
+    @pytest.mark.parametrize("cut", [1, 37, 127, 128, 129, 256, 301, 512, 599])
+    def test_extended_dense_inverse_equals_cold_inverse(self, a0, cut):
+        # cuts at the first coefficient, odd ones, both sides of the seed
+        # block's edge, the doubling boundaries 256 and 512 and n - 1
+        a, cold = _dense_600(a0)
+        assert a.extend_inverse(a.truncated(cut).inverse()) == cold
+
+    @pytest.mark.parametrize("n", [10, 20, 34])
+    def test_dense_pochhammer_round_trip(self, n):
+        p = qpoch(n, 1200)
+        assert recursion_ops(p) >= NEWTON_MIN
+        assert p * p.inverse() == one(1200)
 
 
 class TestEqualToOrder:

@@ -74,6 +74,22 @@ class TestIndex:
         assert warm == cold
 
 
+class TestHighPrecision:
+    """Rows long and dense enough to be inverted by Newton lifting."""
+
+    def test_origin_at_1200(self):
+        clear_caches()
+        assert same_to_order(naive_tet_index(0, 0, 1200), tet_index(0, 0, 1200), 1200)
+
+    def test_resumed_ladder(self):
+        # each step resumes the rows of the step before
+        clear_caches()
+        for prec in (200, 400, 800):
+            s = tet_index(1, 5, prec)
+            assert s.prec == prec
+            assert same_to_order(_naive(1, 5, prec), s, prec)
+
+
 class TestMinDegree:
     def test_origin(self):
         assert tet_min_degree(0, 0) == 0
