@@ -19,7 +19,7 @@ I(m, e) to `prec` is answered by its own cache entry if that is precise
 enough; otherwise by the member (-m, e+m) at `prec - m` when m > 0,
 and by its dual instead when that is cancellation-free too and its
 leads climb faster (smaller first charge).  ind41 at half-exponent 300
-takes 0.15-0.25 s from cold caches this way (CPython 3.11, 2-core VM),
+takes 0.14-0.24 s from cold caches this way (CPython 3.11, 2-core VM),
 against 2-3 s summing every charge directly.
 
 A single growing cache stores, per charge pair, the highest-precision

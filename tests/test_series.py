@@ -195,6 +195,96 @@ class TestMul:
             want = dict_mul(series_to_dict(a), series_to_dict(b), n + 1)
             assert same_to_order(want, a * b, n + 1)
 
+    # slots of 1 to 24 bytes: one, two and three 64-bit words, with the
+    # edges at 8/9 and 16/17 bytes
+    @pytest.mark.parametrize("width", range(1, 25))
+    def test_pack_unpack_every_slot_width(self, width):
+        bits = 8 * width
+        top = 2 ** (bits - 1) - 1
+        rng = random.Random(width)
+
+        def ref_pack(coeffs):
+            # the slots' two's complement bytes, where a negative slot
+            # owes 2^bits to the slot above
+            raw = b"".join(c.to_bytes(width, "little", signed=True) for c in coeffs)
+            owed = sum(1 << (bits * (i + 1)) for i, c in enumerate(coeffs) if c < 0)
+            return int.from_bytes(raw, "little") - owed
+
+        def ref_unpack(value, m):
+            out = []
+            for _ in range(m):
+                low = (value & ((1 << bits) - 1)).to_bytes(width, "little")
+                c = int.from_bytes(low, "little", signed=True)
+                out.append(c)
+                value = (value - c) >> bits
+            return out
+
+        cases = [
+            [top, -top] * 4,
+            [-top] * 7,
+            [top] * 7,
+            [-top, -1, -(2 ** (bits - 2)), -top],
+            [1, 2 ** (bits - 2), top, top - 1],
+            [(-1) ** i * rng.randint(0, top) for i in range(9)],
+            [rng.randint(-top, top) for _ in range(9)],
+            [top],
+            [-top],
+            [-1],
+            [0, 0, -1, 0],
+        ]
+        for coeffs in cases:
+            m = len(coeffs)
+            ones = int.from_bytes((b"\x01" + bytes(width - 1)) * m, "little")
+            packed = series_module._pack(tuple(coeffs), bits, ones)
+            assert packed == ref_pack(coeffs)
+            assert packed == sum(c << (bits * i) for i, c in enumerate(coeffs))
+            assert series_module._unpack(packed, m, bits, ones) == coeffs
+            # slots above the m asked for are ignored
+            above = packed + (rng.randint(-top, top) << (bits * m))
+            assert series_module._unpack(above, m, bits, ones) == ref_unpack(above, m)
+
+    @pytest.mark.parametrize("width", range(1, 25))
+    def test_kronecker_every_slot_width(self, width, monkeypatch):
+        # m = 16 packed slots and coefficients of bit lengths ka and kb with
+        # ka + kb + bit_length(m) = 8 width - 1, the most a `width`-byte
+        # slot admits: the largest product coefficient, m (2^ka - 1)
+        # (2^kb - 1), comes within two bits of the slot's sign bit.  The
+        # lopsided split puts coefficients of up to 185 bits, two and three
+        # words each, in a.
+        m = 16
+        widths = []
+        pack = series_module._pack
+
+        def spy(coeffs, bits, ones):
+            widths.append(bits // 8)
+            return pack(coeffs, bits, ones)
+
+        monkeypatch.setattr(series_module, "_pack", spy)
+        total = 8 * width - 1 - m.bit_length()
+        for ka, stride, signs in itertools.product(
+            {total // 2, total - 1}, (1, 2), ("positive", "negative", "alternating", "square")
+        ):
+            big_a, big_b = 2**ka - 1, 2 ** (total - ka) - 1
+
+            def operand(big, alternate, sign):
+                return tuple(
+                    sign * big * (-1) ** (alternate * i // stride) if i % stride == 0 else 0
+                    for i in range(m * stride)
+                )
+
+            if signs == "square":
+                # one operand: its bit lengths split evenly
+                a = b = operand(2 ** (total // 2) - 1, 1, -1)
+            else:
+                a = operand(big_a, signs == "alternating", -1 if signs == "negative" else 1)
+                b = operand(big_b, signs == "alternating", 1)
+            widths.clear()
+            got = series_module._kronecker(a, b)
+            assert widths == [width] * (1 if b is a else 2)
+            n = len(a)
+            want = dict_mul(dict(enumerate(a)), dict(enumerate(b)), n)
+            assert got == [want.get(k, 0) for k in range(n)]
+
     @settings(max_examples=200)
     @given(random_series(), random_series(), random_series())
     def test_distributivity(self, a, b, c):
