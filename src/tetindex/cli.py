@@ -5,7 +5,12 @@ reported for every exponent strictly below H/2.
 
 Exit codes: 0 computed/verified, 1 identity mismatch, 2 usage or parse
 error, 3 summation window/box not stabilized (wider than its cap, a
-divergent sum, or a lattice sum that could not be certified).
+divergent sum, or a lattice sum that could not be certified).  A usage
+error after a known command is reported by that command's parser
+("tetindex bailey: error: ..."); a missing or unknown command, or an
+option before it, by the top-level parser ("tetindex: error: ...").
+The identity checks (triality, pentagon, bailey) need --prec of at
+least 1: below that they would compare no coefficient.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ def _report_text(r: CheckReport) -> str:
 
 def _emit(meta: dict, result, fmt: str, out) -> None:
     """Print `result`, a QSeries or a list of CheckReports, as one JSON
-    record with `meta`, as text or as LaTeX."""
+    record with `meta` on one line, as text or as LaTeX."""
     series = isinstance(result, QSeries)
     if fmt == "json":
         record = {"meta": meta, "kind": "series" if series else "report"}
@@ -74,7 +79,7 @@ def _emit(meta: dict, result, fmt: str, out) -> None:
             record["series"] = series_to_json(result)
         else:
             record["reports"] = [report_to_json(r) for r in result]
-        print(json.dumps(record, indent=2), file=out)
+        print(json.dumps(record), file=out)
     elif series:
         print(format_series(result, fmt == "latex"), file=out)
     else:
@@ -83,13 +88,26 @@ def _emit(meta: dict, result, fmt: str, out) -> None:
             print(r"\text{" + line + "}" if fmt == "latex" else line, file=out)
 
 
+# the commands, in the order `tetindex -h` lists them, with their help
+_COMMANDS = {
+    "tet": "tetrahedron index I(m,e)",
+    "triality": "triality relations",
+    "pentagon": "pentagon identity",
+    "bailey": "Bailey chain verification",
+    "eval": "evaluate an expression file",
+    "ind41": "figure-eight-knot index",
+}
+# the identity checks: below --prec 1 they would compare no coefficient
+_CHECKS = ("triality", "pentagon", "bailey")
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by every call:
-    each parse_args fills a fresh namespace, so no call sees another's
-    options."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+def _parser(command: str) -> argparse.ArgumentParser:
+    """The parser of one command, built on first use and shared by every
+    call: each parse_args fills a fresh namespace, so no call sees
+    another's options."""
+    p = argparse.ArgumentParser(prog=f"tetindex {command}")
+    p.add_argument(
         "--prec",
         type=int,
         required=True,
@@ -97,45 +115,55 @@ def _build_parser() -> argparse.ArgumentParser:
         help="precision bound in HALF-units: coefficients are computed for "
         "all exponents strictly below H/2",
     )
-    common.add_argument(
-        "--format", choices=("text", "json", "latex"), default="text"
-    )
-    # truncation flags, only on the subcommands that read them
-    margin = argparse.ArgumentParser(add_help=False)
-    margin.add_argument("--margin", type=int, default=identities.DEFAULT_MARGIN)
+    p.add_argument("--format", choices=("text", "json", "latex"), default="text")
+    # truncation flags, only on the commands that read them
+    if command in ("pentagon", "eval", "ind41"):
+        p.add_argument("--margin", type=int, default=identities.DEFAULT_MARGIN)
 
+    if command in ("tet", "triality"):
+        p.add_argument("-m", type=int, required=True)
+        p.add_argument("-e", type=int, required=True)
+    elif command == "pentagon":
+        p.add_argument("--window-cap", type=int, default=identities.DEFAULT_WINDOW_CAP)
+        for name in ("--m1", "--m2", "--e1", "--e2"):
+            p.add_argument(name, type=int, required=True)
+        p.add_argument("--e0", type=int, default=None)
+        p.add_argument("--shifted", action="store_true")
+    elif command == "bailey":
+        p.add_argument("--n0", type=int, required=True)
+        p.add_argument("--t", type=int, required=True)
+        p.add_argument("--steps", type=str, default="")
+        p.add_argument("--m-range", type=str, default="-3..3")
+    else:
+        if command == "eval":
+            p.add_argument("--file", required=True)
+        p.add_argument("--box-cap", type=int, default=None)
+    return p
+
+
+class _Deferred:
+    """A command's entry in the top-level parser.  That parser hands it
+    arguments only when an option precedes the command; the command's
+    parser is built then."""
+
+    def __init__(self, prog, **_):
+        self.command = prog.rpartition(" ")[2]
+
+    def parse_known_args(self, args, namespace=None):
+        return _parser(self.command).parse_known_args(args, namespace)
+
+
+@functools.cache
+def _top_parser() -> argparse.ArgumentParser:
+    """The parser of an argv that does not start with a command: it
+    lists the commands for -h and names a missing or unknown one."""
     p = argparse.ArgumentParser(
         prog="tetindex",
         description="Exact q-series computations with the tetrahedron index.",
     )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("tet", parents=[common], help="tetrahedron index I(m,e)")
-    sp.add_argument("-m", type=int, required=True)
-    sp.add_argument("-e", type=int, required=True)
-
-    sp = sub.add_parser("triality", parents=[common], help="triality relations")
-    sp.add_argument("-m", type=int, required=True)
-    sp.add_argument("-e", type=int, required=True)
-
-    sp = sub.add_parser("pentagon", parents=[common, margin], help="pentagon identity")
-    sp.add_argument("--window-cap", type=int, default=identities.DEFAULT_WINDOW_CAP)
-    for name in ("--m1", "--m2", "--e1", "--e2"):
-        sp.add_argument(name, type=int, required=True)
-    sp.add_argument("--e0", type=int, default=None)
-    sp.add_argument("--shifted", action="store_true")
-
-    sp = sub.add_parser("bailey", parents=[common], help="Bailey chain verification")
-    sp.add_argument("--n0", type=int, required=True)
-    sp.add_argument("--t", type=int, required=True)
-    sp.add_argument("--steps", type=str, default="")
-    sp.add_argument("--m-range", type=str, default="-3..3")
-    sp = sub.add_parser("eval", parents=[common, margin], help="evaluate an expression file")
-    sp.add_argument("--file", required=True)
-    sp.add_argument("--box-cap", type=int, default=None)
-
-    sp = sub.add_parser("ind41", parents=[common, margin], help="figure-eight-knot index")
-    sp.add_argument("--box-cap", type=int, default=None)
+    sub = p.add_subparsers(dest="command", required=True, parser_class=_Deferred)
+    for command, help_text in _COMMANDS.items():
+        sub.add_parser(command, help=help_text)
     return p
 
 
@@ -155,14 +183,20 @@ def _parse_range(text: str):
 
 def run(argv) -> int:
     """Dispatch one invocation; results on stdout, diagnostics on stderr."""
-    parser = _build_parser()
+    argv = list(argv)
+    command = argv[0] if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command in _COMMANDS:
+            args = _parser(command).parse_args(
+                argv[1:], argparse.Namespace(command=command)
+            )
+        else:
+            args = _top_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     # values that would make a check vacuous or a cap meaningless
     for flag, value, lo in (
-        ("--prec", args.prec, 0),
+        ("--prec", args.prec, 1 if args.command in _CHECKS else 0),
         ("--margin", getattr(args, "margin", None), 1),
         ("--window-cap", getattr(args, "window_cap", None), 0),
         ("--box-cap", getattr(args, "box_cap", None), 0),
@@ -174,7 +208,7 @@ def run(argv) -> int:
         print("error: --e0 applies only with --shifted", file=sys.stderr)
         return EXIT_USAGE
 
-    meta = {"command": " ".join(["tetindex"] + list(argv)), "prec_half_exp": args.prec}
+    meta = {"command": " ".join(["tetindex"] + argv), "prec_half_exp": args.prec}
     try:
         if args.command == "tet":
             result = tet_index(args.m, args.e, args.prec)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -46,6 +47,32 @@ class TestTet:
         assert rec["kind"] == "series"
         assert series_from_json(rec["series"]) == tet_index(1, 0, 12)
         assert rec["meta"]["prec_half_exp"] == 12
+
+    @pytest.mark.parametrize(
+        "argv, record",
+        [
+            (("tet", "-m", "1", "-e", "0", "--prec", "12"),
+             {"meta": {"command": "tetindex tet -m 1 -e 0 --prec 12 --format json",
+                       "prec_half_exp": 12},
+              "kind": "series",
+              "series": {"lead_half_exp": 2, "prec_half_exp": 12,
+                         "coeffs": ["-1", "0", "-1", "0", "0", "0", "1", "0", "3", "0"]}}),
+            (("pentagon", "--m1", "1", "--m2", "0", "--e1", "1", "--e2", "0",
+              "--prec", "8"),
+             {"meta": {"command": "tetindex pentagon --m1 1 --m2 0 --e1 1 --e2 0 "
+                                  "--prec 8 --format json",
+                       "prec_half_exp": 8, "window": 5},
+              "kind": "report",
+              "reports": [{"verified_to_half_exp": 8, "holds": True,
+                           "first_mismatch": None}]}),
+        ],
+    )
+    def test_json_record_is_one_line(self, capsys, argv, record):
+        code, out, _ = invoke(capsys, *argv, "--format", "json")
+        assert code == 0
+        line, end, rest = out.partition("\n")
+        assert end == "\n" and rest == ""
+        assert json.loads(line) == record
 
     def test_latex_output_half_exponent(self, capsys):
         code, out, _ = invoke(
@@ -108,8 +135,29 @@ class TestExitCodes:
         assert code == 2 and "prec" in err
 
     def test_unknown_command_is_two(self, capsys):
-        code, _, _ = invoke(capsys, "frobnicate", "--prec", "8")
-        assert code == 2
+        code, out, err = invoke(capsys, "frobnicate", "--prec", "8")
+        assert code == 2 and out == "" and "invalid choice: 'frobnicate'" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("triality", "-m", "0", "-e", "0"),
+            ("pentagon", "--m1", "1", "--m2", "0", "--e1", "0", "--e2", "-1"),
+            ("bailey", "--n0", "0", "--t", "1"),
+        ],
+    )
+    def test_check_below_precision_one_is_two(self, capsys, argv):
+        # at --prec 0 a check compares no coefficient and proves nothing
+        code, out, err = invoke(capsys, *argv, "--prec", "0")
+        assert code == 2 and out == ""
+        assert err == "error: --prec must be at least 1\n"
+
+    @pytest.mark.parametrize(
+        "argv", [("tet", "-m", "1", "-e", "0"), ("ind41",)]
+    )
+    def test_series_at_precision_zero_is_empty(self, capsys, argv):
+        code, out, _ = invoke(capsys, *argv, "--prec", "0")
+        assert code == 0 and out == "0 + O(1)\n"
 
     def test_parse_error_is_two(self, capsys, tmp_path):
         p = tmp_path / "bad.txt"
@@ -157,9 +205,11 @@ class TestExitCodes:
     )
     def test_flag_the_command_does_not_read_is_two(self, capsys, argv, flag):
         # a truncation flag is accepted only where it is read; elsewhere
-        # it would be ignored without a word
+        # it would be ignored without a word. The command's own parser
+        # names it.
         code, out, err = invoke(capsys, *argv, "--prec", "6")
-        assert code == 2 and out == "" and f"unrecognized arguments: {flag}" in err
+        assert code == 2 and out == ""
+        assert f"tetindex {argv[0]}: error: unrecognized arguments: {flag}" in err
 
     def test_unstable_window_is_three(self, capsys):
         code, _, err = invoke(
@@ -230,15 +280,42 @@ def test_python_m_runs_the_cli():
     assert proc.stdout.strip() == "1 - 8*q - 9*q^2 + 18*q^3 + 46*q^4 + O(q^5)"
 
 
+class TestDispatch:
+    """An argv that starts with a command is parsed by that command's
+    parser; any other argv by the top-level parser."""
+
+    def test_no_arguments(self, capsys):
+        code, out, err = invoke(capsys)
+        assert code == 2 and out == "" and "required: command" in err
+
+    def test_help_lists_every_command(self, capsys):
+        code, out, _ = invoke(capsys, "-h")
+        assert code == 0
+        for command in ("tet", "triality", "pentagon", "bailey", "eval", "ind41"):
+            assert f"    {command} " in out
+
+    def test_option_before_the_command(self, capsys):
+        code, out, err = invoke(capsys, "--prec", "8", "tet", "-m", "0", "-e", "0")
+        assert code == 2 and out == "" and err.startswith("usage: tetindex [-h]")
+
+    def test_command_help(self, capsys):
+        code, out, _ = invoke(capsys, "pentagon", "-h")
+        assert code == 0 and out.startswith("usage: tetindex pentagon [-h]")
+        assert "--m1" in out and "--window-cap" in out
+
+
 class TestParserReuse:
-    def test_second_call_sees_only_its_own_options(self, capsys):
-        # the parser is built once per process; a fresh interpreter builds
+    def test_second_call_sees_only_its_own_options(self, capsys, monkeypatch):
+        # each parser is built once per process; a fresh interpreter builds
         # its own, so each in-process output must match a fresh call's
         base = ["pentagon", "--m1", "1", "--m2", "0", "--e1", "1", "--e2", "0",
                 "--prec", "8", "--format", "json"]
         shifted = base[:1] + ["--shifted"] + base[1:] + ["--e0", "1"]
+        usage_error = base + ["--box-cap", "1"]
+        # usage lines wrap at the terminal width: give both sides the same
+        monkeypatch.setenv("COLUMNS", "80")
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tetindex.__file__)))
-        for argv in (shifted, base):
+        for argv in (usage_error, shifted, base):
             code, out, err = invoke(capsys, *argv)
             fresh = subprocess.run(
                 [sys.executable, "-c",
@@ -251,8 +328,30 @@ class TestParserReuse:
         assert rec["reports"][0]["holds"]
         assert rec["meta"]["window"] == identities.pentagon_window_extent(1, 0, 1, 0, 8)
 
-    def test_parser_is_built_once(self):
-        assert cli._build_parser() is cli._build_parser()
+    def test_each_parser_is_built_once(self, capsys, monkeypatch):
+        # a command builds its own parser on first use and no other, and
+        # the top-level parser builds none of the commands' parsers
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, **kwargs):
+            built.append(kwargs["prog"])
+            init(self, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._parser.cache_clear()
+        cli._top_parser.cache_clear()
+        try:
+            for _ in range(2):
+                assert invoke(capsys, "tet", "-m", "0", "-e", "0", "--prec", "4")[0] == 0
+                assert invoke(capsys, "triality", "-m", "0", "-e", "0", "--prec", "4")[0] == 0
+            assert built == ["tetindex tet", "tetindex triality"]
+            assert invoke(capsys, "-h")[0] == 0
+            assert invoke(capsys, "frobnicate")[0] == 2
+            assert built[2:] == ["tetindex"]
+        finally:
+            cli._parser.cache_clear()
+            cli._top_parser.cache_clear()
 
 
 class TestCommands:
