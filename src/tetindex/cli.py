@@ -23,7 +23,7 @@ import sys
 from . import bailey, identities, lattice
 from .errors import ExprSyntaxError, StabilizationError, TetIndexError
 from .identities import CheckReport
-from .series import QSeries, format_series, half_exp_str
+from .series import QSeries, format_series, monomial_str
 from .tetrahedron import tet_index
 
 __all__ = ["run", "main", "series_to_json", "series_from_json"]
@@ -59,14 +59,18 @@ def report_to_json(r: CheckReport) -> dict:
     return d
 
 
-def _report_text(r: CheckReport) -> str:
+def _report_text(r: CheckReport, latex: bool) -> str:
+    """One report as a line of text, or of LaTeX with the words in text
+    mode and the monomial in math mode."""
     if r.holds:
-        return f"holds to order q^{half_exp_str(r.verified_to)}"
-    h, lc, rc = r.first_mismatch
-    return (
-        f"MISMATCH at q^{half_exp_str(h)}: lhs coefficient {lc}, "
-        f"rhs coefficient {rc}"
-    )
+        words, h, tail = "holds to order", r.verified_to, ""
+    else:
+        h, lc, rc = r.first_mismatch
+        words, tail = "MISMATCH at", f": lhs coefficient {lc}, rhs coefficient {rc}"
+    mono = monomial_str(h, latex)
+    if latex:
+        return rf"\text{{{words} }} {mono}" + (rf"\text{{{tail}}}" if tail else "")
+    return f"{words} {mono}{tail}"
 
 
 def _emit(meta: dict, result, fmt: str, out) -> None:
@@ -84,8 +88,7 @@ def _emit(meta: dict, result, fmt: str, out) -> None:
         print(format_series(result, fmt == "latex"), file=out)
     else:
         for r in result:
-            line = _report_text(r)
-            print(r"\text{" + line + "}" if fmt == "latex" else line, file=out)
+            print(_report_text(r, fmt == "latex"), file=out)
 
 
 # the commands, in the order `tetindex -h` lists them, with their help

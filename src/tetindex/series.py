@@ -69,6 +69,7 @@ __all__ = [
     "qpoch",
     "equal_to_order",
     "half_exp_str",
+    "monomial_str",
     "format_series",
 ]
 
@@ -360,34 +361,36 @@ def half_exp_str(h: int) -> str:
     return str(h // 2) if h % 2 == 0 else f"{h}/2"
 
 
+def monomial_str(h: int, latex: bool = False) -> str:
+    """q^(h/2) as text, `1`, `q`, `q^3`, `q^(5/2)`, or as LaTeX math,
+    `q^{5/2}`."""
+    x = half_exp_str(h)
+    if latex:
+        return f"q^{{{x}}}"
+    if h == 0:
+        return "1"
+    if h == 2:
+        return "q"
+    return f"q^{x}" if x.isdigit() else f"q^({x})"
+
+
 def format_series(s: QSeries, latex: bool = False) -> str:
     """The series as text, `1 - 8*q + q^(3/2) + O(q^2)`, or as LaTeX,
     `1 - 8q + q^{3/2} + O(q^{2})`."""
-
-    def mono(h):
-        x = half_exp_str(h)
-        if latex:
-            return f"q^{{{x}}}"
-        if h == 0:
-            return "1"
-        if h == 2:
-            return "q"
-        return f"q^{x}" if x.isdigit() else f"q^({x})"
-
     terms = []
     for h, c in enumerate(s.coeffs, s.lead):
         if not c:
             continue
         body = str(abs(c))
         if h:
-            body = "q" if h == 2 else mono(h)
+            body = "q" if h == 2 else monomial_str(h, latex)
             if abs(c) != 1:
                 body = f"{abs(c)}{'' if latex else '*'}{body}"
         if terms:
             terms.append(f"{'-' if c < 0 else '+'} {body}")
         else:
             terms.append(f"-{body}" if c < 0 else body)
-    return f"{' '.join(terms) or '0'} + O({mono(s.prec)})"
+    return f"{' '.join(terms) or '0'} + O({monomial_str(s.prec, latex)})"
 
 
 def zero(prec: int) -> QSeries:

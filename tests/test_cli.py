@@ -100,6 +100,44 @@ class TestTet:
                                   "--format", fmt)
             assert code == 0 and out == want + "\n"
 
+    @pytest.mark.parametrize(
+        "report, text, latex",
+        [
+            (CheckReport(5, True), "holds to order q^(5/2)",
+             r"\text{holds to order } q^{5/2}"),
+            (CheckReport(6, True), "holds to order q^3",
+             r"\text{holds to order } q^{3}"),
+            (CheckReport(2, True), "holds to order q",
+             r"\text{holds to order } q^{1}"),
+            (CheckReport(8, False, (3, 1, -2)),
+             "MISMATCH at q^(3/2): lhs coefficient 1, rhs coefficient -2",
+             r"\text{MISMATCH at } q^{3/2}\text{: lhs coefficient 1, rhs coefficient -2}"),
+            (CheckReport(8, False, (-4, 0, 7)),
+             "MISMATCH at q^(-2): lhs coefficient 0, rhs coefficient 7",
+             r"\text{MISMATCH at } q^{-2}\text{: lhs coefficient 0, rhs coefficient 7}"),
+        ],
+        ids=["holds-half", "holds-integer", "holds-q", "mismatch-half", "mismatch-negative"],
+    )
+    def test_report_text_and_latex_styles(self, capsys, monkeypatch, report, text, latex):
+        # the words in LaTeX text mode, the monomial in math mode, in the
+        # form format_series writes it
+        monkeypatch.setattr(cli.identities, "triality_check", lambda m, e, prec: report)
+        for fmt, want in (("text", text), ("latex", latex)):
+            code, out, _ = invoke(capsys, "triality", "-m", "0", "-e", "0", "--prec", "8",
+                                  "--format", fmt)
+            assert code == (0 if report.holds else 1) and out == want + "\n"
+
+    def test_report_json_unchanged(self, capsys, monkeypatch):
+        report = CheckReport(5, False, (3, 1, -2))
+        monkeypatch.setattr(cli.identities, "triality_check", lambda m, e, prec: report)
+        code, out, _ = invoke(capsys, "triality", "-m", "0", "-e", "0", "--prec", "8",
+                              "--format", "json")
+        assert code == 1
+        assert json.loads(out)["reports"] == [{
+            "verified_to_half_exp": 5, "holds": False,
+            "first_mismatch": {"half_exp": 3, "lhs": "1", "rhs": "-2"},
+        }]
+
     def test_formats_agree_on_series(self, capsys):
         args = ("tet", "-m", "0", "-e", "-1", "--prec", "10")
         _, text_out, _ = invoke(capsys, *args)

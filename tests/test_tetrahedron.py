@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracle import naive_min_degree, naive_tet_index, same_to_order
+from oracle import naive_min_degree, naive_tet_index, naive_tet_term, same_to_order
 from tetindex import series, tetrahedron
 from tetindex.series import equal_to_order, qpoch
 from tetindex.tetrahedron import (
@@ -132,11 +132,41 @@ class TestCacheConsistency:
     def test_clear_caches_drops_every_kernel_memo(self):
         tet_index(2, 3, 30)
         assert tetrahedron._index_cache and tetrahedron._row_cache
+        assert tetrahedron._body_cache
         assert series._qpoch_cache
         clear_caches()
         assert not tetrahedron._index_cache
+        assert not tetrahedron._body_cache
         assert not tetrahedron._row_cache
         assert not series._qpoch_cache
+
+    def test_mirrored_summands_share_one_body(self):
+        # summand n of I(m, e) and summand n + e of I(m', -e) both divide
+        # by (q;q)_n (q;q)_{n+e}: the second is read from the first's entry
+        clear_caches()
+        first = tet_term(2, -1, 3, 40)
+        assert set(tetrahedron._body_cache) == {(2, 5)}
+        body = tetrahedron._body_cache[(2, 5)]
+        second = tet_term(5, 2, -3, 40)
+        assert set(tetrahedron._body_cache) == {(2, 5)}
+        assert tetrahedron._body_cache[(2, 5)] is body
+        for (n, m, e), got in (((2, -1, 3), first), ((5, 2, -3), second)):
+            assert same_to_order(naive_tet_term(n, m, e, 40), got, 40)
+
+    def test_shuffled_grid_at_mixed_precisions(self):
+        # one body cache across every charge and precision, the index
+        # cache emptied between precisions so that bodies are read both
+        # truncated and regrown
+        clear_caches()
+        rng = random.Random(40)
+        grid = [(m, e) for m in range(-5, 6) for e in range(-5, 6)]
+        for prec in (80, 40, 160, 40, 80):
+            tetrahedron._index_cache.clear()
+            rng.shuffle(grid)
+            for m, e in grid:
+                s = tet_index(m, e, prec)
+                assert s.prec == prec
+                assert same_to_order(_naive(m, e, prec), s, prec)
 
     def test_truncation_of_cached_high_precision(self):
         clear_caches()
@@ -224,3 +254,19 @@ class TestOrbit:
         assert grown
         for n, row in tetrahedron._row_cache.items():
             assert row == qpoch(n, row.prec).inverse()
+
+    def test_regrown_bodies_equal_cold_bodies(self):
+        clear_caches()
+        grid = [(m, e) for m in range(-3, 1) for e in range(-3, 4)]
+        for m, e in grid:
+            tet_index(m, e, 40)
+        low = dict(tetrahedron._body_cache)
+        tetrahedron._index_cache.clear()
+        for m, e in grid:
+            tet_index(m, e, 160)
+        grown = [k for k in low if tetrahedron._body_cache[k].prec > low[k].prec]
+        assert grown
+        for (a, b), body in tetrahedron._body_cache.items():
+            assert a <= b
+            prec = body.prec
+            assert body == qpoch(a, prec).inverse() * qpoch(b, prec).inverse()
