@@ -5,7 +5,7 @@ The figure-eight-knot index is the rank-2 lattice sum
 whose first coefficients are 1, -8, -9, 18, 46.  The evaluator bounds
 the term degree from below on boxes of directions, finds every lattice
 point whose term starts below the requested order, and sums only those;
-the box half-width is the farthest of them plus a margin.
+the box half-width is the max-norm of the farthest of them.
 
 Run:  python3 demos/04_knot_index.py
 """

@@ -37,7 +37,6 @@ from .lattice import (
     IND41_TEXT,
     AffineForm,
     LatticeSumExpr,
-    eval_expr,
     eval_expr_with_box,
     format_expr,
     ind41,
@@ -79,7 +78,6 @@ __all__ = [
     "LatticeSumExpr",
     "parse_expr",
     "format_expr",
-    "eval_expr",
     "eval_expr_with_box",
     "ind41",
     "IND41_TEXT",

@@ -27,8 +27,6 @@ from __future__ import annotations
 from math import inf
 
 from .identities import (
-    DEFAULT_MARGIN,
-    DEFAULT_WINDOW_CAP,
     CheckReport,
     _members_window,
     _merge,
@@ -135,25 +133,21 @@ class BaileyState:
 
     # -- beta -----------------------------------------------------------
 
-    def beta(self, k: int, prec: int, min_window: int = 0) -> QSeries:
+    def beta(self, k: int, prec: int) -> QSeries:
         """beta_k at the current parameter, via the defining sum (depth 0)
         and the step transform at each deeper level."""
-        return self._beta(self.depth, k, prec, min_window)
+        return self._beta(self.depth, k, prec)
 
-    def _beta(self, depth: int, m: int, prec: int, min_window: int = 0) -> QSeries:
+    def _beta(self, depth: int, m: int, prec: int) -> QSeries:
         key = (depth, m)
-        if min_window == 0:
-            cached = self._beta_cache.get(key)
-            if cached is not None and cached.prec >= prec:
-                return cached.truncated(prec)
+        cached = self._beta_cache.get(key)
+        if cached is not None and cached.prec >= prec:
+            return cached.truncated(prec)
         if depth == 0:
             s = self._kernel_sum(0, m, prec)
         else:
-            s = self._beta_step(depth, m, prec, min_window)
-        if min_window == 0:
-            prev = self._beta_cache.get(key)
-            if prev is None or s.prec > prev.prec:
-                self._beta_cache[key] = s
+            s = self._beta_step(depth, m, prec)
+        self._beta_cache[key] = s
         return s
 
     def _kernel_sum(self, depth: int, m: int, prec: int) -> QSeries:
@@ -192,12 +186,10 @@ class BaileyState:
             for n in self.support()
         ]
 
-    def _beta_step(self, depth: int, m: int, prec: int, min_window: int) -> QSeries:
+    def _beta_step(self, depth: int, m: int, prec: int) -> QSeries:
         extent = self.window_extents[(depth, m)] = _members_window(
-            self._window_members(depth, m), prec, DEFAULT_MARGIN,
-            DEFAULT_WINDOW_CAP, "Bailey step window",
+            self._window_members(depth, m), prec, "Bailey step window"
         )
-        extent = max(extent, min_window)
         sign = -1 if m % 2 else 1
         total = zero(prec)
         for k in range(-extent, extent + 1):

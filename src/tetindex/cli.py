@@ -4,8 +4,9 @@ All precision flags take the bound H in half-units: coefficients are
 reported for every exponent strictly below H/2.
 
 Exit codes: 0 computed/verified, 1 identity mismatch, 2 usage or parse
-error, 3 summation window/box not stabilized (wider than its cap, a
-divergent sum, or a lattice sum that could not be certified).  A usage
+error, 3 a charge sum not truncated: it diverges, it could not be
+certified, or its certified low points lie among more lattice points
+than the work bound `lattice.POINT_BUDGET`.  A usage
 error after a known command is reported by that command's parser
 ("tetindex bailey: error: ..."); a missing or unknown command, or an
 option before it, by the top-level parser ("tetindex: error: ...").
@@ -119,15 +120,10 @@ def _parser(command: str) -> argparse.ArgumentParser:
         "all exponents strictly below H/2",
     )
     p.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    # truncation flags, only on the commands that read them
-    if command in ("pentagon", "eval", "ind41"):
-        p.add_argument("--margin", type=int, default=identities.DEFAULT_MARGIN)
-
     if command in ("tet", "triality"):
         p.add_argument("-m", type=int, required=True)
         p.add_argument("-e", type=int, required=True)
     elif command == "pentagon":
-        p.add_argument("--window-cap", type=int, default=identities.DEFAULT_WINDOW_CAP)
         for name in ("--m1", "--m2", "--e1", "--e2"):
             p.add_argument(name, type=int, required=True)
         p.add_argument("--e0", type=int, default=None)
@@ -137,10 +133,8 @@ def _parser(command: str) -> argparse.ArgumentParser:
         p.add_argument("--t", type=int, required=True)
         p.add_argument("--steps", type=str, default="")
         p.add_argument("--m-range", type=str, default="-3..3")
-    else:
-        if command == "eval":
-            p.add_argument("--file", required=True)
-        p.add_argument("--box-cap", type=int, default=None)
+    elif command == "eval":
+        p.add_argument("--file", required=True)
     return p
 
 
@@ -197,16 +191,11 @@ def run(argv) -> int:
             args = _top_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    # values that would make a check vacuous or a cap meaningless
-    for flag, value, lo in (
-        ("--prec", args.prec, 1 if args.command in _CHECKS else 0),
-        ("--margin", getattr(args, "margin", None), 1),
-        ("--window-cap", getattr(args, "window_cap", None), 0),
-        ("--box-cap", getattr(args, "box_cap", None), 0),
-    ):
-        if value is not None and value < lo:
-            print(f"error: {flag} must be at least {lo}", file=sys.stderr)
-            return EXIT_USAGE
+    # a precision that would make a check vacuous
+    lo = 1 if args.command in _CHECKS else 0
+    if args.prec < lo:
+        print(f"error: --prec must be at least {lo}", file=sys.stderr)
+        return EXIT_USAGE
     if args.command == "pentagon" and args.e0 is not None and not args.shifted:
         print("error: --e0 applies only with --shifted", file=sys.stderr)
         return EXIT_USAGE
@@ -220,13 +209,11 @@ def run(argv) -> int:
         elif args.command == "pentagon":
             if args.shifted:
                 rep = identities.pentagon_shifted_check(
-                    args.m1, args.m2, args.e1, args.e2, args.e0 or 0,
-                    args.prec, args.margin, args.window_cap,
+                    args.m1, args.m2, args.e1, args.e2, args.e0 or 0, args.prec
                 )
             else:
                 rep = identities.pentagon_check(
-                    args.m1, args.m2, args.e1, args.e2,
-                    args.prec, args.margin, args.window_cap,
+                    args.m1, args.m2, args.e1, args.e2, args.prec
                 )
             meta["window"] = rep.window
             result = [rep]
@@ -245,9 +232,7 @@ def run(argv) -> int:
                 expr = lattice.load_expr_file(args.file)
             else:
                 expr = lattice.parse_expr(lattice.IND41_TEXT)
-            result, meta["box"] = lattice.eval_expr_with_box(
-                expr, args.prec, args.margin, args.box_cap
-            )
+            result, meta["box"] = lattice.eval_expr_with_box(expr, args.prec)
     except ExprSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -10,8 +10,8 @@ class PrecisionError(TetIndexError):
 
 
 class StabilizationError(TetIndexError):
-    """An adaptive summation window or box hit its cap before the
-    truncation bound was satisfied."""
+    """A charge sum could not be truncated: it diverges, its certificate
+    gave up, or its low points exceed the work bound."""
 
 
 class ExprSyntaxError(TetIndexError):

@@ -6,12 +6,11 @@ coefficientwise agreement.  The infinite charge sums on the right-hand
 sides run over one integer e3, with charges and prefactor affine in e3:
 they are rank-1 lattice sums, built as `LatticeSumExpr`s and summed by
 the one evaluator of `lattice`, whose certificate solves them exactly
-on both sides of e3 = 0.  Their window covers, with `margin` values to
-spare on both ends, the farthest e3 whose term reaches below the
-requested precision, and only the terms that do are summed.  A sum with
-infinitely many such terms raises at once, naming the side it diverges
-on, and a window wider than its cap raises too, so a failed convergence
-assumption is a loud error instead of a silent truncation.
+on both sides of e3 = 0.  Their window extends to the farthest e3
+whose term reaches below the requested precision, and only the terms
+that do are summed.  A sum with infinitely many such terms raises at once,
+naming the side it diverges on, so a failed convergence assumption is a
+loud error instead of a silent truncation.
 The Bailey step window is cut the same way: `_members_window` solves
 one shifted-pentagon sum per seed point and takes the widest window.
 """
@@ -23,9 +22,7 @@ from dataclasses import dataclass, replace
 from .lattice import (
     AffineForm,
     LatticeSumExpr,
-    _cap_error,
     _Certificate,
-    _check_window_args,
     _evaluate,
     _low_points,
     charge_product,
@@ -46,12 +43,7 @@ __all__ = [
     "pentagon_shifted_check",
     "pentagon_window_extent",
     "pentagon_shifted_window_extent",
-    "DEFAULT_MARGIN",
-    "DEFAULT_WINDOW_CAP",
 ]
-
-DEFAULT_MARGIN = 3
-DEFAULT_WINDOW_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -139,19 +131,12 @@ def _pentagon_sum(m1, m2, e1, e2, e0=0, pref_h=0) -> LatticeSumExpr:
     )
 
 
-def _members_window(members, prec: int, margin: int, cap: int, what: str) -> int:
-    """The Bailey step window of a family of rank-1 sums: `margin` past
-    the farthest index at which a term of any member reaches below
-    `prec`, each member solved exactly by the lattice certificate.  A
-    divergent member or a low index past `cap - margin` raises."""
-    _check_window_args(margin, cap, what)
-    extent = margin
-    for expr in members:
-        low = _low_points(_Certificate(expr, prec), margin, cap, what)
-        extent = max(extent, low[0])
-    if extent > cap:  # no member, and a margin past the cap
-        raise _cap_error(what, cap)
-    return extent
+def _members_window(members, prec: int, what: str) -> int:
+    """The Bailey step window of a family of rank-1 sums: the farthest
+    index at which a term of any member reaches below `prec`, each member
+    solved exactly by the lattice certificate, or 0 for no member.  A
+    divergent member raises."""
+    return max((_low_points(_Certificate(e, prec), what)[0] for e in members), default=0)
 
 
 # Former name of the Bailey step window, kept bound to `_members_window`
@@ -159,53 +144,31 @@ def _members_window(members, prec: int, margin: int, cap: int, what: str) -> int
 _grow_symmetric_window = _members_window
 
 
-def _report(lhs, rhs_sum, prec, margin, cap, what) -> CheckReport:
+def _report(lhs, rhs_sum, prec, what) -> CheckReport:
     """Compare lhs() with the certified sum `rhs_sum` below `prec`; the
     report carries the sum's window half-width."""
-    rhs, extent = _evaluate(rhs_sum, prec, margin, cap, what)
+    rhs, extent = _evaluate(rhs_sum, prec, what)
     if prec <= 0:
         return CheckReport(prec, True, window=extent)
     return replace(compare_series(lhs(), rhs, prec), window=extent)
 
 
-def pentagon_rhs(
-    m1: int,
-    m2: int,
-    e1: int,
-    e2: int,
-    prec: int,
-    margin: int = DEFAULT_MARGIN,
-    cap: int = DEFAULT_WINDOW_CAP,
-    min_window: int = 0,
-) -> QSeries:
+def pentagon_rhs(m1: int, m2: int, e1: int, e2: int, prec: int) -> QSeries:
     """Charge sum over e3 of q^(e3) I(m1,e1+e3) I(m2,e2+e3) I(m1+m2,e3),
-    adaptively truncated.  `min_window` forces a larger window (used by
-    the stability-replay tests)."""
-    expr = _pentagon_sum(m1, m2, e1, e2)
-    return _evaluate(expr, prec, margin, cap, "pentagon window", min_window)[0]
+    truncated by its certificate."""
+    return _evaluate(_pentagon_sum(m1, m2, e1, e2), prec, "pentagon window")[0]
 
 
-def pentagon_window_extent(
-    m1, m2, e1, e2, prec, margin=DEFAULT_MARGIN, cap=DEFAULT_WINDOW_CAP
-) -> int:
+def pentagon_window_extent(m1, m2, e1, e2, prec) -> int:
     """The window half-width of pentagon_rhs, which is evaluated for it."""
-    expr = _pentagon_sum(m1, m2, e1, e2)
-    return _evaluate(expr, prec, margin, cap, "pentagon window")[1]
+    return _evaluate(_pentagon_sum(m1, m2, e1, e2), prec, "pentagon window")[1]
 
 
-def pentagon_check(
-    m1: int,
-    m2: int,
-    e1: int,
-    e2: int,
-    prec: int,
-    margin: int = DEFAULT_MARGIN,
-    cap: int = DEFAULT_WINDOW_CAP,
-) -> CheckReport:
+def pentagon_check(m1: int, m2: int, e1: int, e2: int, prec: int) -> CheckReport:
     """Pentagon identity with m3 = m1 + m2 imposed internally."""
     return _report(
         lambda: pentagon_lhs(m1, m2, e1, e2, prec),
-        _pentagon_sum(m1, m2, e1, e2), prec, margin, cap, "pentagon window",
+        _pentagon_sum(m1, m2, e1, e2), prec, "pentagon window",
     )
 
 
@@ -229,45 +192,25 @@ def pentagon_shifted_lhs(
 
 
 def pentagon_shifted_rhs(
-    m1: int,
-    m2: int,
-    e1: int,
-    e2: int,
-    e0: int,
-    prec: int,
-    margin: int = DEFAULT_MARGIN,
-    cap: int = DEFAULT_WINDOW_CAP,
-    min_window: int = 0,
+    m1: int, m2: int, e1: int, e2: int, e0: int, prec: int
 ) -> QSeries:
     """Charge sum of q^(e3 + (m2-e1)/2) I(m1,e1+e3) I(m2,e2+e3)
-    I(m1+m2, e0+e3), adaptively truncated."""
+    I(m1+m2, e0+e3), truncated by its certificate."""
     expr = _pentagon_sum(m1, m2, e1, e2, e0, m2 - e1)
-    return _evaluate(
-        expr, prec, margin, cap, "shifted-pentagon window", min_window
-    )[0]
+    return _evaluate(expr, prec, "shifted-pentagon window")[0]
 
 
-def pentagon_shifted_window_extent(
-    m1, m2, e1, e2, e0, prec, margin=DEFAULT_MARGIN, cap=DEFAULT_WINDOW_CAP
-) -> int:
+def pentagon_shifted_window_extent(m1, m2, e1, e2, e0, prec) -> int:
     """The window half-width of pentagon_shifted_rhs, evaluated for it."""
     expr = _pentagon_sum(m1, m2, e1, e2, e0, m2 - e1)
-    return _evaluate(expr, prec, margin, cap, "shifted-pentagon window")[1]
+    return _evaluate(expr, prec, "shifted-pentagon window")[1]
 
 
 def pentagon_shifted_check(
-    m1: int,
-    m2: int,
-    e1: int,
-    e2: int,
-    e0: int,
-    prec: int,
-    margin: int = DEFAULT_MARGIN,
-    cap: int = DEFAULT_WINDOW_CAP,
+    m1: int, m2: int, e1: int, e2: int, e0: int, prec: int
 ) -> CheckReport:
     """Shifted pentagon identity used to seed the Bailey construction."""
     return _report(
         lambda: pentagon_shifted_lhs(m1, m2, e1, e2, e0, prec),
-        _pentagon_sum(m1, m2, e1, e2, e0, m2 - e1), prec, margin, cap,
-        "shifted-pentagon window",
+        _pentagon_sum(m1, m2, e1, e2, e0, m2 - e1), prec, "shifted-pentagon window",
     )

@@ -17,18 +17,19 @@ This is the one charge-sum module of the package: the pentagon checks
 build their right-hand sides as rank-1 expressions and sum them here.
 
 Every sum is truncated by a certificate, never by a finite screen, and
-reports its box half-width E: `margin` past the farthest lattice point
-whose term reaches below the precision.  Only the origin and those low
-points are summed; every other term is zero to the precision.  Boxes
-of directions on the faces of the max-norm unit sphere cover the
+reports its box half-width E: the max-norm of the farthest lattice
+point whose term reaches below the precision.  Only the origin and
+those low points are summed; every other term is zero to the precision.
+Boxes of directions on the faces of the max-norm unit sphere cover the
 lattice, two faces at rank 1.  On each, a quadratic in the radius
 bounds the term degree from below (on a single direction it is the
 degree) and is solved in time logarithmic in the distance of its low
 values; only the points at the radii where it reaches below the
-precision are tested (see `_Certificate` and `_low_points`).  A
-divergent sum raises at once, naming a line on which it diverges, and
-so does a box wider than its cap.  The built-in `ind41` expression is
-the figure-eight-knot index sum_{k1,k2} I(k1,k2) I(k2,k1).
+precision are tested (see `_Certificate` and `_low_points`).  How far
+a low point lies costs nothing; how many points are tested is bounded
+by POINT_BUDGET.  A divergent sum raises at once, naming a line on
+which it diverges.  The built-in `ind41` expression is the
+figure-eight-knot index sum_{k1,k2} I(k1,k2) I(k2,k1).
 
 The summed points are grouped into orbits of the sum's symmetry group,
 the signed permutations of the lattice under which the forms are
@@ -58,9 +59,7 @@ __all__ = [
     "LatticeSumExpr",
     "parse_expr",
     "format_expr",
-    "eval_expr",
     "eval_expr_with_box",
-    "box_cap_default",
     "charge_product",
     "ind41",
     "load_expr_file",
@@ -74,6 +73,10 @@ SPLIT_BUDGET = 256
 # a certified box is split further while enumerating it would test more
 # points than this
 SPLIT_POINTS = 64
+# how many lattice points the search for one sum's low points may test:
+# ind41 tests 1,540 at half-exponent 500 and 3,618 at 1200, the rank-3
+# cyclic sum 340 at 12
+POINT_BUDGET = 100_000
 
 _RESERVED = {"sum", "q", "I"}
 
@@ -322,10 +325,6 @@ def format_expr(expr: LatticeSumExpr) -> str:
     return " ".join(chunks)
 
 
-def box_cap_default(rank: int) -> int:
-    return 48 if rank <= 2 else 16
-
-
 def charge_product(charges, pref_h: int, sign: int, prec: int) -> QSeries:
     """sign * q^(pref_h/2) * prod_i I(m_i, e_i), truncated at `prec`.
 
@@ -365,23 +364,6 @@ class _Term:
             if k:
                 vals = [v + c * k for v, c in zip(vals, col)]
         return list(zip(vals[1::3], vals[2::3])), vals[0]
-
-
-def _check_window_args(margin: int, cap: int, what: str) -> None:
-    """Raise ValueError for a margin below 1, which would accept a window
-    without a single checked value past its last low term, or a negative
-    cap."""
-    if margin < 1:
-        raise ValueError(f"{what} margin must be at least 1, got {margin}")
-    if cap < 0:
-        raise ValueError(f"{what} cap must not be negative, got {cap}")
-
-
-def _cap_error(what: str, cap: int) -> StabilizationError:
-    return StabilizationError(
-        f"{what} not stabilized within cap {cap}; "
-        "the sum may not converge at this precision"
-    )
 
 
 def _first(pred, lo: int, hi: int) -> int:
@@ -497,13 +479,13 @@ def _split(box):
     return [(axis, 2 * w, sub) for sub in itertools.product(*halves)]
 
 
-def _box_points(box, r: int):
-    """The lattice points k with max |k_j| = r and k / r in the box, each
-    in exactly one box of a subdivision of the faces: a span holds the
-    values from its lower end up to, but not including, its upper end
-    (the end u[j] = 1 included), and the first coordinate with
-    |k_j| = r picks the face, so the coordinates before it lie strictly
-    inside."""
+def _box_ranges(box, r: int):
+    """One range per coordinate, whose product is the lattice points k
+    with max |k_j| = r and k / r in the box, each in exactly one box of a
+    subdivision of the faces: a span holds the values from its lower end
+    up to, but not including, its upper end (the end u[j] = 1 included),
+    and the first coordinate with |k_j| = r picks the face, so the
+    coordinates before it lie strictly inside."""
     axis, w, spans = box
     ranges = []
     for j, (lo, hi) in enumerate(spans):
@@ -512,7 +494,7 @@ def _box_points(box, r: int):
         if j < axis:
             start, stop = max(start, 1 - r), min(stop, r)
         ranges.append(range(start, stop))
-    return itertools.product(*ranges)
+    return ranges
 
 
 def _line(step):
@@ -618,9 +600,9 @@ class _Certificate:
                 )
 
 
-def _low_points(cert: _Certificate, margin: int, cap: int, what: str = "lattice sum"):
-    """The box half-width of the sum `cert` truncates, at any rank:
-    `margin` past the farthest nonzero point whose term reaches below its
+def _low_points(cert: _Certificate, what: str = "lattice sum"):
+    """The box half-width of the sum `cert` truncates, at any rank: the
+    max-norm of the farthest nonzero point whose term reaches below its
     precision, and those points mapped to their terms.
 
     Every face is covered by direction boxes whose bounds are certified
@@ -628,9 +610,11 @@ def _low_points(cert: _Certificate, margin: int, cap: int, what: str = "lattice 
     box of a single direction never.  While enumerating a box would test
     more than SPLIT_POINTS points, it is split to tighten its radii; then
     the points at the radii of its runs are tested, the farthest first.
-    Divergence, a budget that runs out before every box is certified, and
-    a low point past `cap - margin` raise StabilizationError naming the
-    sum `what`, divergence first under any cap."""
+    Divergence, a split budget that runs out before every box is
+    certified, and a convergent sum whose runs hold more than
+    POINT_BUDGET points raise StabilizationError naming the sum `what`;
+    the budget is counted before a radius is tested, so no more points
+    than that are ever tested."""
     prec, budget = cert.prec, SPLIT_BUDGET
     pending, accepted = deque(_faces(cert.expr.rank)), []
     while pending:
@@ -647,10 +631,8 @@ def _low_points(cert: _Certificate, margin: int, cap: int, what: str = "lattice 
             )
         budget -= 1
         pending += _split(box)
-    if margin > cap:
-        raise _cap_error(what, cap)
 
-    far, points, at = 0, {}, cert.term.at
+    far, points, at, left = 0, {}, cert.term.at, POINT_BUDGET
     while accepted:
         box, runs = accepted.pop()
         if not runs:
@@ -666,14 +648,20 @@ def _low_points(cert: _Certificate, margin: int, cap: int, what: str = "lattice 
             continue
         for first, last in runs:
             for r in range(last, first - 1, -1):
-                for point in _box_points(box, r):
+                ranges = _box_ranges(box, r)
+                left -= prod(map(len, ranges))
+                if left < 0:
+                    raise StabilizationError(
+                        f"{what} converges at half-exponent {prec} (certified), "
+                        f"but finding its low points would test more than "
+                        f"POINT_BUDGET = {POINT_BUDGET} lattice points"
+                    )
+                for point in itertools.product(*ranges):
                     term = at(point)
                     if term_degree(*term) < prec:
-                        if r > cap - margin:
-                            raise _cap_error(what, cap)
                         far = max(far, r)
                         points[point] = term
-    return margin + far, points
+    return far, points
 
 
 # rank -> every signed permutation of Z^rank but the identity, built on
@@ -778,56 +766,29 @@ def _orbit_sum(expr: LatticeSumExpr, terms: dict, prec: int) -> QSeries:
     return _from_array(low, total, prec)
 
 
-def _evaluate(expr, prec, margin, cap, what, min_box=0):
-    """The sum and its box half-width, `what` naming it in errors; a cap
-    of None is `box_cap_default`.
+def _evaluate(expr, prec, what):
+    """The sum and its box half-width, `what` naming it in errors.
 
     Only the origin and the low points of `_low_points` are summed, one
     orbit of the sum's symmetry group at a time (`_orbit_sum`); every
-    other term is zero to this precision.  `min_box` sums the full cube
-    of that half-width instead, if it is larger (stability-replay
-    tests)."""
-    cap = box_cap_default(expr.rank) if cap is None else cap
-    _check_window_args(margin, cap, what)
+    other term is zero to this precision."""
     cert = _Certificate(expr, prec)
-    extent, terms = _low_points(cert, margin, cap, what)
+    extent, terms = _low_points(cert, what)
     at, origin = cert.term.at, (0,) * expr.rank
     terms[origin] = at(origin)
-    if min_box > extent:
-        cube = itertools.product(range(-min_box, min_box + 1), repeat=expr.rank)
-        terms = {p: at(p) for p in cube}
     return _orbit_sum(expr, terms, prec), extent
 
 
-def eval_expr_with_box(
-    expr: LatticeSumExpr,
-    prec: int,
-    margin: int = 3,
-    box_cap: int | None = None,
-) -> tuple[QSeries, int]:
-    """Evaluate and also report the box half-width.
-
-    Raises ValueError for a margin below 1, which would accept a box
-    without a single checked shell past its last low term, or a negative
-    cap."""
-    return _evaluate(expr, prec, margin, box_cap, "lattice sum")
+def eval_expr_with_box(expr: LatticeSumExpr, prec: int) -> tuple[QSeries, int]:
+    """Sum the expression over its integer lattice, truncated at `prec`,
+    and report the box half-width: the max-norm of its farthest low
+    point."""
+    return _evaluate(expr, prec, "lattice sum")
 
 
-def eval_expr(
-    expr: LatticeSumExpr,
-    prec: int,
-    margin: int = 3,
-    box_cap: int | None = None,
-    min_box: int = 0,
-) -> QSeries:
-    """Sum the expression over its integer lattice, truncated at `prec`.
-    `min_box` forces a larger box (stability-replay tests)."""
-    return _evaluate(expr, prec, margin, box_cap, "lattice sum", min_box)[0]
-
-
-def ind41(prec: int, margin: int = 3, box_cap: int | None = None) -> QSeries:
+def ind41(prec: int) -> QSeries:
     """The figure-eight-knot index sum_{k1,k2} I(k1,k2) I(k2,k1)."""
-    return eval_expr(parse_expr(IND41_TEXT), prec, margin, box_cap)
+    return eval_expr_with_box(parse_expr(IND41_TEXT), prec)[0]
 
 
 def load_expr_file(path) -> LatticeSumExpr:

@@ -10,8 +10,10 @@ import random
 import sys
 
 from oracle import naive_pentagon_rhs, naive_tet_index, same_to_order
+from test_lattice import _cube_sum
 from tetindex.bailey import bailey_chain, bailey_seed_delta, bailey_step, bailey_verify
 from tetindex.identities import (
+    _pentagon_sum,
     pentagon_check,
     pentagon_rhs,
     pentagon_shifted_check,
@@ -20,7 +22,6 @@ from tetindex.identities import (
 )
 from tetindex.lattice import (
     IND41_TEXT,
-    eval_expr,
     eval_expr_with_box,
     ind41,
     parse_expr,
@@ -128,10 +129,8 @@ def test_criterion_7_ring_axioms_and_replay_stability():
     for args in [(0, 0, 0, 0), (2, 2, 2, 2), (1, -1, 2, 0)]:
         base = pentagon_rhs(*args, 8)
         extent = pentagon_window_extent(*args, 8)
-        ok = ok and equal_to_order(
-            base, pentagon_rhs(*args, 8, min_window=extent + 8), 8
-        )
+        ok = ok and equal_to_order(base, _cube_sum(_pentagon_sum(*args), extent + 8, 8), 8)
     expr = parse_expr(IND41_TEXT)
     base, extent = eval_expr_with_box(expr, 8)
-    ok = ok and equal_to_order(base, eval_expr(expr, 8, min_box=extent + 4), 8)
+    ok = ok and equal_to_order(base, _cube_sum(expr, extent + 4, 8), 8)
     _record("7 ring axioms, inverses, window/box replay", ok)

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from oracle import naive_tet_index, same_to_order
+from tetindex import bailey
 from tetindex.bailey import (
     bailey_beta,
     bailey_chain,
@@ -15,6 +16,13 @@ from tetindex.identities import pentagon_shifted_check
 from tetindex.lattice import _Term
 from tetindex.series import equal_to_order, zero
 from tetindex.tetrahedron import tet_index
+
+
+def _widen_step_windows(monkeypatch):
+    """Make every Bailey step window of states built from now on reach 8
+    indices past its farthest low index."""
+    members_window = bailey._members_window
+    monkeypatch.setattr(bailey, "_members_window", lambda *args: members_window(*args) + 8)
 
 
 class TestSeed:
@@ -76,7 +84,7 @@ class TestStep:
         assert len(reports) == 3
         assert all(r.holds for r in reports)
 
-    def test_beta_window_replay_stability(self):
+    def test_beta_window_replay_stability(self, monkeypatch):
         # every level of the six benchmark verify-sweep chains, and a
         # depth-1 state at H=6
         chains = [
@@ -88,17 +96,22 @@ class TestStep:
             (0, 1, (1, -1, 2, 0), range(-2, 3), 8),
             (0, -1, (1, 1, -1, 0), range(-2, 3), 8),
         ]
-        for n0, t, steps, ks, prec in chains:
-            st = bailey_seed_delta(n0, t)
+
+        def betas(n0, t, steps, ks, prec):
+            st, out = bailey_seed_delta(n0, t), []
             for s in steps:
                 st = bailey_step(st, s)
-                for k in ks:
-                    base = st.beta(k, prec)
-                    extent = st.window_extents[(st.depth, k)]
-                    bigger = st.beta(k, prec, min_window=extent + 8)
-                    assert equal_to_order(base, bigger, prec), (n0, t, st.history, k)
+                out += [(st.history, k, st.beta(k, prec)) for k in ks]
+            return out
 
-    def test_multipoint_laurent_seed_steps(self):
+        base = [betas(*chain) for chain in chains]
+        _widen_step_windows(monkeypatch)
+        for chain, want in zip(chains, base):
+            prec = chain[-1]
+            for (history, k, a), (_, _, b) in zip(want, betas(*chain)):
+                assert equal_to_order(a, b, prec), (chain[:2], history, k)
+
+    def test_multipoint_laurent_seed_steps(self, monkeypatch):
         # the kernel sum over several seed points, at depth 0 and below
         st = bailey_seed(0, {-1: ((0, 1),), 2: ((1, -3), (4, 2))})
         for k in (-1, 0, 2):
@@ -108,13 +121,19 @@ class TestStep:
                 + tet_index(0, k + 2, 4).scaled(2, 4)
             )
             assert equal_to_order(st.beta(k, 8), want, 8)
-        for s in (1, -1):
-            st = bailey_step(st, s)
+        seed = st
+
+        def stepped():
+            one = bailey_step(seed, 1)
+            return [one, bailey_step(one, -1)]
+
+        states = stepped()
+        for st in states:
             assert bailey_verify(st, (-3, 3), 8).holds
-            for k in (-1, 0, 2):
-                extent = st.window_extents[(st.depth, k)]
-                bigger = st.beta(k, 8, min_window=extent + 8)
-                assert equal_to_order(st.beta(k, 8), bigger, 8)
+        base = [st.beta(k, 8) for st in states for k in (-1, 0, 2)]
+        _widen_step_windows(monkeypatch)
+        wide = [st.beta(k, 8) for st in stepped() for k in (-1, 0, 2)]
+        assert all(equal_to_order(a, b, 8) for a, b in zip(base, wide))
 
     def test_beta_memoization_transparent(self):
         st = bailey_step(bailey_seed_delta(0, 1), -1)
@@ -233,5 +252,5 @@ class TestShiftedPentagonStep:
 
     def test_empty_support_steps_to_zero(self):
         st = bailey_step(bailey_seed(0, {}), 1)
-        assert st.beta(0, 8) == zero(8) and st.window_extents[(1, 0)] == 3
+        assert st.beta(0, 8) == zero(8) and st.window_extents[(1, 0)] == 0
         assert bailey_verify(st, (-2, 2), 8).holds

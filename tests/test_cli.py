@@ -10,10 +10,15 @@ import tetindex
 
 from tetindex import cli
 from tetindex.cli import run, series_from_json, series_to_json
-from tetindex import identities
+from tetindex import identities, lattice
 from tetindex.identities import CheckReport
 from tetindex.series import QSeries
 from tetindex.tetrahedron import tet_index
+
+
+DIVERGENT_FILE = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "exprs", "divergent.txt"
+)
 
 
 def invoke(capsys, *argv):
@@ -61,7 +66,7 @@ class TestTet:
               "--prec", "8"),
              {"meta": {"command": "tetindex pentagon --m1 1 --m2 0 --e1 1 --e2 0 "
                                   "--prec 8 --format json",
-                       "prec_half_exp": 8, "window": 5},
+                       "prec_half_exp": 8, "window": 2},
               "kind": "report",
               "reports": [{"verified_to_half_exp": 8, "holds": True,
                            "first_mismatch": None}]}),
@@ -217,6 +222,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("margin", ["0", "-2"])
     def test_margin_below_one_is_two(self, capsys, margin):
+        # no command takes --margin: the box is the farthest low point
         code, out, err = invoke(capsys, "ind41", "--prec", "6", "--margin", margin)
         assert code == 2 and out == "" and "--margin" in err
 
@@ -229,6 +235,7 @@ class TestExitCodes:
         ],
     )
     def test_negative_cap_is_two(self, capsys, argv):
+        # no command takes a cap: the one truncation bound is on work
         code, out, err = invoke(capsys, *argv, "--prec", "8")
         assert code == 2 and out == "" and "cap" in err
 
@@ -242,24 +249,28 @@ class TestExitCodes:
         ],
     )
     def test_flag_the_command_does_not_read_is_two(self, capsys, argv, flag):
-        # a truncation flag is accepted only where it is read; elsewhere
-        # it would be ignored without a word. The command's own parser
-        # names it.
+        # no command reads a truncation flag; accepted, it would be
+        # ignored without a word. The command's own parser names it.
         code, out, err = invoke(capsys, *argv, "--prec", "6")
         assert code == 2 and out == ""
         assert f"tetindex {argv[0]}: error: unrecognized arguments: {flag}" in err
 
-    def test_unstable_window_is_three(self, capsys):
+    def test_unstable_window_is_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(lattice, "POINT_BUDGET", 0)
         code, _, err = invoke(
             capsys,
             "pentagon", "--m1", "0", "--m2", "0", "--e1", "0", "--e2", "0",
-            "--prec", "8", "--window-cap", "0",
+            "--prec", "8",
         )
-        assert code == 3 and "not stabilized" in err
+        assert code == 3 and "pentagon window converges" in err and "POINT_BUDGET" in err
 
-    def test_unstable_box_is_three(self, capsys):
-        code, _, err = invoke(capsys, "ind41", "--prec", "8", "--box-cap", "1")
-        assert code == 3 and "not stabilized" in err
+    def test_unstable_box_is_three(self, capsys, monkeypatch):
+        # ind41 at H = 80 tests 282 points: past the work bound, a sum
+        # proved convergent is not reported as one that may diverge
+        monkeypatch.setattr(lattice, "POINT_BUDGET", 100)
+        code, out, err = invoke(capsys, "ind41", "--prec", "80")
+        assert code == 3 and out == ""
+        assert "POINT_BUDGET = 100" in err and "may not converge" not in err
 
     def test_e0_without_shifted_is_two(self, capsys):
         # --e0 only enters the shifted pentagon; accepting it otherwise
@@ -282,13 +293,14 @@ class TestExitCodes:
         # a translate of ind41 whose low terms lie about 100 shells out
         p = tmp_path / "translated.txt"
         p.write_text("sum a b : I(a - 100, b) * I(b, a - 100)\n")
-        code, out, err = invoke(capsys, "eval", "--file", str(p), "--prec", "6")
-        assert code == 3 and out == "" and "not stabilized" in err
-        code, out, _ = invoke(
-            capsys, "eval", "--file", str(p), "--prec", "6", "--box-cap", "110"
-        )
+        code, out, _ = invoke(capsys, "eval", "--file", str(p), "--prec", "6")
         assert code == 0
         assert out == invoke(capsys, "ind41", "--prec", "6")[1]
+        code, out, _ = invoke(capsys, "eval", "--file", str(p), "--prec", "10", "--format", "json")
+        rec = json.loads(out)
+        assert code == 0 and rec["meta"]["box"] == 102
+        ind41 = json.loads(invoke(capsys, "ind41", "--prec", "10", "--format", "json")[1])
+        assert rec["series"] == ind41["series"]
 
     def test_divergent_rank2_sum_is_three(self, capsys, tmp_path):
         p = tmp_path / "divergent.txt"
@@ -296,15 +308,14 @@ class TestExitCodes:
         code, out, err = invoke(capsys, "eval", "--file", str(p), "--prec", "6")
         assert code == 3 and out == "" and "diverges" in err
 
-    def test_divergence_is_named_before_the_cap(self, capsys, tmp_path):
-        # a box cap below the margin must not hide the divergent line
+    def test_divergence_is_named_before_the_cap(self, capsys, tmp_path, monkeypatch):
+        # a work bound that allows no point must not hide the divergent line
+        monkeypatch.setattr(lattice, "POINT_BUDGET", 0)
         p = tmp_path / "divergent.txt"
         p.write_text("sum a b : I(a,b)\n")
-        code, out, err = invoke(
-            capsys, "eval", "--file", str(p), "--prec", "6", "--box-cap", "2"
-        )
+        code, out, err = invoke(capsys, "eval", "--file", str(p), "--prec", "6")
         assert code == 3 and out == ""
-        assert "diverges" in err and "not stabilized" not in err
+        assert "diverges" in err and "POINT_BUDGET" not in err
 
 
 def test_python_m_runs_the_cli():
@@ -339,7 +350,7 @@ class TestDispatch:
     def test_command_help(self, capsys):
         code, out, _ = invoke(capsys, "pentagon", "-h")
         assert code == 0 and out.startswith("usage: tetindex pentagon [-h]")
-        assert "--m1" in out and "--window-cap" in out
+        assert "--m1" in out and "--window-cap" not in out
 
 
 class TestParserReuse:
@@ -427,7 +438,7 @@ class TestCommands:
         rec = json.loads(out)
         s = series_from_json(rec["series"])
         assert [s.coefficient(2 * j) for j in range(5)] == [1, -8, -9, 18, 46]
-        assert rec["meta"]["box"] >= 3
+        assert rec["meta"]["box"] == 2
 
     def test_eval_file(self, capsys, tmp_path):
         p = tmp_path / "expr.txt"
@@ -435,10 +446,8 @@ class TestCommands:
         code, out, _ = invoke(capsys, "eval", "--file", str(p), "--prec", "6")
         assert code == 0 and out.strip().startswith("1 - 8*q")
 
-    def test_divergent_sum_is_three(self, capsys, tmp_path):
-        p = tmp_path / "divergent.txt"
-        p.write_text("sum k : q^(-k) * I(0,k)\n")
+    def test_divergent_sum_is_three(self, capsys):
         code, out, err = invoke(
-            capsys, "eval", "--file", str(p), "--prec", "10", "--format", "json"
+            capsys, "eval", "--file", DIVERGENT_FILE, "--prec", "10", "--format", "json"
         )
-        assert code == 3 and out == "" and "diverges" in err
+        assert code == 3 and out == "" and "line j * (1,) diverges" in err

@@ -5,10 +5,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle import naive_pentagon_lhs, naive_pentagon_rhs, naive_tet_index, same_to_order
-from tetindex import tetrahedron
+from test_lattice import _cube_sum
+from tetindex import lattice, tetrahedron
 from tetindex.errors import StabilizationError
 from tetindex.identities import (
     _members_window,
+    _pentagon_sum,
     compare_series,
     duality_check,
     pentagon_check,
@@ -27,7 +29,6 @@ from tetindex.lattice import (
     _faces,
     _low_ends,
     _low_points,
-    eval_expr,
     eval_expr_with_box,
 )
 from tetindex.series import equal_to_order, monomial, one
@@ -145,12 +146,13 @@ class TestPentagon:
         for args in [(0, 0, 0, 0), (1, -1, 2, 0), (-2, 2, -1, 1)]:
             base = pentagon_rhs(*args, 8)
             extent = pentagon_window_extent(*args, 8)
-            bigger = pentagon_rhs(*args, 8, min_window=extent + 8)
+            bigger = _cube_sum(_pentagon_sum(*args), extent + 8, 8)
             assert equal_to_order(base, bigger, 8)
 
-    def test_window_cap_errors_loudly(self):
-        with pytest.raises(StabilizationError):
-            pentagon_rhs(0, 0, 0, 0, 8, cap=0)
+    def test_window_cap_errors_loudly(self, monkeypatch):
+        monkeypatch.setattr(lattice, "POINT_BUDGET", 0)
+        with pytest.raises(StabilizationError, match="POINT_BUDGET = 0"):
+            pentagon_rhs(0, 0, 0, 0, 8)
 
     @pytest.mark.parametrize(
         "rhs, args, what",
@@ -159,20 +161,22 @@ class TestPentagon:
             (pentagon_shifted_rhs, (0, 0, 0, 0, 1), "shifted-pentagon window"),
         ],
     )
-    def test_cap_error_names_the_window(self, rhs, args, what):
-        with pytest.raises(StabilizationError, match=f"^{what} not stabilized within cap 0"):
-            rhs(*args, 8, cap=0)
+    def test_cap_error_names_the_window(self, rhs, args, what, monkeypatch):
+        # the work bound names the window and says it converges
+        monkeypatch.setattr(lattice, "POINT_BUDGET", 0)
+        with pytest.raises(StabilizationError, match=f"^{what} converges .* POINT_BUDGET"):
+            rhs(*args, 8)
 
     def test_degenerate_precision_vacuous(self):
         assert pentagon_check(2, 2, 2, 2, 0).holds
 
     @pytest.mark.parametrize("kwargs", [{"margin": 0}, {"margin": -1}, {"cap": -1}])
     def test_vacuous_window_arguments_rejected(self, kwargs):
-        # a margin below 1 would accept a window on the tail screen alone
+        # the window is the farthest low point, with no margin or cap to set
         for check in (pentagon_check, pentagon_rhs, pentagon_window_extent):
-            with pytest.raises(ValueError):
+            with pytest.raises(TypeError):
                 check(0, 0, 0, 0, 8, **kwargs)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             pentagon_shifted_check(0, 0, 0, 0, 1, 8, **kwargs)
 
 
@@ -191,7 +195,7 @@ class TestShiftedPentagon:
 
     def test_window_enlargement_stability(self):
         base = pentagon_shifted_rhs(0, 0, 0, 0, 1, 8)
-        bigger = pentagon_shifted_rhs(0, 0, 0, 0, 1, 8, min_window=20)
+        bigger = _cube_sum(_pentagon_sum(0, 0, 0, 0, 1, 0), 20, 8)
         assert equal_to_order(base, bigger, 8)
 
     def test_degenerate_precision_vacuous(self):
@@ -244,7 +248,7 @@ def _low_term_off_origin(draw):
     return factors, (slope, h0 - slope * j0), degree + draw(st.integers(1, 12)), j0
 
 
-def _check_against_scan(factors, pref, prec, margin, cap, horizon):
+def _check_against_scan(factors, pref, prec, horizon):
     def charges(j):
         return tuple((a * j + b, c * j + d) for a, b, c, d in factors)
 
@@ -259,16 +263,11 @@ def _check_against_scan(factors, pref, prec, margin, cap, horizon):
     ) < prec
     if diverges:
         with pytest.raises(StabilizationError, match="diverges"):
-            _low_points(_Certificate(expr, prec), margin, cap)
+            _low_points(_Certificate(expr, prec))
         return
-    want = margin + max((abs(j) for j in scan if j), default=0)
-    if want > cap:
-        with pytest.raises(StabilizationError, match="not stabilized"):
-            _low_points(_Certificate(expr, prec), margin, cap)
-    else:
-        extent, points = _low_points(_Certificate(expr, prec), margin, cap)
-        assert extent == want
-        assert sorted(points) == [(j,) for j in scan if j]
+    extent, points = _low_points(_Certificate(expr, prec))
+    assert extent == max((abs(j) for j in scan if j), default=0)
+    assert sorted(points) == [(j,) for j in scan if j]
 
 
 def _rank1_expr(factors, pref):
@@ -302,22 +301,23 @@ def _face_runs(term, prec):
     return [cert.runs(face) for face in _faces(1)]
 
 
-def _check_low_terms_sum(factors, pref, prec, margin, cap):
+def _check_low_terms_sum(factors, pref, prec):
     # the evaluator sums the origin and the low terms of its runs only;
-    # every term of the full window must add up to the same series
+    # every term of the full window, and one more on each side, must add
+    # up to the same series
     expr = _rank1_expr(factors, pref)
     try:
-        s, extent = eval_expr_with_box(expr, prec, margin, cap)
+        s, extent = eval_expr_with_box(expr, prec)
     except StabilizationError:
         return  # the verdicts are checked against the scan above
-    assert s == eval_expr(expr, prec, margin, cap, min_box=extent + 1)
+    assert s == _cube_sum(expr, extent + 1, prec)
 
 
 class TestRank1Extent:
     """Rank-1 truncation, through `_low_points`, against a brute-force
-    scan of the term degree: the window is `margin` past the farthest
-    nonzero low j, the low points are the scan's, and the cap and
-    divergence verdicts agree with the scan.
+    scan of the term degree: the window reaches the farthest nonzero low
+    j, the low points are the scan's, and the divergence verdict agrees
+    with the scan.
 
     With slopes in [-3, 3] and offsets up to 300, every zero of an m, e
     or m + e lies within |j| <= 600, and past them each factor's degree
@@ -337,65 +337,55 @@ class TestRank1Extent:
         factors=_factors(st.integers(-300, 300)),
         pref=st.tuples(_slope, st.integers(-300, 300)),
         prec=st.integers(-4, 20),
-        margin=st.integers(1, 4),
-        cap=st.integers(0, 2000),
     )
-    def test_matches_brute_force(self, factors, pref, prec, margin, cap):
-        _check_against_scan(factors, pref, prec, margin, cap, 2000)
+    def test_matches_brute_force(self, factors, pref, prec):
+        _check_against_scan(factors, pref, prec, 2000)
 
     @settings(max_examples=80, deadline=None)
-    @given(
-        term=_low_term_off_origin(), margin=st.integers(1, 4), cap=st.integers(0, 2000)
-    )
-    def test_low_term_off_origin_matches_brute_force(self, term, margin, cap):
+    @given(term=_low_term_off_origin())
+    def test_low_term_off_origin_matches_brute_force(self, term):
         factors, pref, prec, _ = term
-        _check_against_scan(factors, pref, prec, margin, cap, 2000)
+        _check_against_scan(factors, pref, prec, 2000)
 
     @settings(max_examples=300, deadline=None)
     @given(
         factors=_factors(st.integers(-12, 12)),
         pref=st.tuples(_slope, st.integers(-12, 12)),
         prec=st.integers(-10, 80),
-        margin=st.integers(1, 4),
-        cap=st.integers(0, 400),
     )
-    def test_short_pieces_match_brute_force(self, factors, pref, prec, margin, cap):
-        _check_against_scan(factors, pref, prec, margin, cap, 400)
+    def test_short_pieces_match_brute_force(self, factors, pref, prec):
+        _check_against_scan(factors, pref, prec, 400)
 
     @settings(max_examples=100, deadline=None)
     @given(
         factors=_factors(st.integers(-300, 300)),
         pref=st.tuples(_slope, st.integers(-300, 300)),
         prec=st.integers(-4, 20),
-        margin=st.integers(1, 4),
     )
-    def test_low_terms_sum_is_the_window_sum(self, factors, pref, prec, margin):
-        _check_low_terms_sum(factors, pref, prec, margin, 2000)
+    def test_low_terms_sum_is_the_window_sum(self, factors, pref, prec):
+        _check_low_terms_sum(factors, pref, prec)
 
     @settings(max_examples=60, deadline=None)
-    @given(term=_low_term_off_origin(), margin=st.integers(1, 4))
-    def test_low_term_off_origin_sum_is_the_window_sum(self, term, margin):
+    @given(term=_low_term_off_origin())
+    def test_low_term_off_origin_sum_is_the_window_sum(self, term):
         factors, pref, prec, j0 = term
-        _check_low_terms_sum(factors, pref, prec, margin, 2000)
+        _check_low_terms_sum(factors, pref, prec)
         try:
-            _, extent = eval_expr_with_box(_rank1_expr(factors, pref), prec, margin, 2000)
+            _, extent = eval_expr_with_box(_rank1_expr(factors, pref), prec)
         except StabilizationError:
             return
-        assert extent >= margin + abs(j0)
+        assert extent >= abs(j0)
 
     @settings(max_examples=200, deadline=None)
     @given(
         factors=_factors(st.integers(-12, 12)),
         pref=st.tuples(_slope, st.integers(-12, 12)),
         prec=st.integers(-10, 40),
-        margin=st.integers(1, 4),
     )
     # a concave piece whose run (1, 3) covers the high term at j = 2
-    @example(factors=[(1, -4, 3, 2)], pref=(2, 1), prec=19, margin=3)
-    def test_short_pieces_low_terms_sum_is_the_window_sum(
-        self, factors, pref, prec, margin
-    ):
-        _check_low_terms_sum(factors, pref, prec, margin, 400)
+    @example(factors=[(1, -4, 3, 2)], pref=(2, 1), prec=19)
+    def test_short_pieces_low_terms_sum_is_the_window_sum(self, factors, pref, prec):
+        _check_low_terms_sum(factors, pref, prec)
 
     def test_concave_run_covers_a_high_term(self):
         # keeps the example above meaningful: the run is walked, and its
@@ -445,9 +435,7 @@ class TestRank1Extent:
         def term(j):
             return ((250 - j, j - 250),), 0
 
-        assert _low_points(_certificate(term, 8), 3, 300)[0] == 255
-        with pytest.raises(StabilizationError, match="not stabilized"):
-            _low_points(_certificate(term, 8), 3, 254)
+        assert _low_points(_certificate(term, 8))[0] == 252
 
     def test_far_zero_costs_one_piece(self):
         # the zeros of m and m + e sit at j = 10^6; the one low term is
@@ -455,32 +443,34 @@ class TestRank1Extent:
         def term(j):
             return ((10**6 - j, j),), 0
 
-        extent, points = _low_points(_certificate(term, 8), 1, 10**7)
-        assert (extent, list(points)) == (10**6 + 1, [(10**6,)])
+        extent, points = _low_points(_certificate(term, 8))
+        assert (extent, list(points)) == (10**6, [(10**6,)])
 
-    def test_long_flat_piece_is_solved_not_walked(self):
+    def test_long_flat_piece_is_solved_not_walked(self, monkeypatch):
         # degree 0 on every j in [0, 10^9] and 2 at j = 10^9 + 1: the
-        # ends of the piece are found by bisection, and the farthest low
-        # term, tested first, fails the cap without a walk over 10^9 terms
+        # ends of the piece are found by bisection, and the walk over its
+        # 10^9 low terms stops at the work bound
         def term(j):
             return ((0, j), (j - 10**9, 0)), 0
 
         plus, minus = _face_runs(term, 2)
         assert max(last for _, last in plus) == 10**9 and minus == []
-        with pytest.raises(StabilizationError, match="not stabilized"):
-            _low_points(_certificate(term, 2), 3, 48)
+        monkeypatch.setattr(lattice, "POINT_BUDGET", 48)
+        with pytest.raises(StabilizationError, match="converges .* POINT_BUDGET = 48"):
+            _low_points(_certificate(term, 2))
 
-    def test_deep_convex_dip(self):
+    def test_deep_convex_dip(self, monkeypatch):
         # degree j(j - (2*10^6 - 1)) for j >= 0, below 0 exactly on
         # 0 < j < 2*10^6 - 1; for j < 0 only the prefactor, -2*10^6*j,
         # is left, so no low term there.  The run is solved, not walked,
-        # and a small cap fails on its far end, which is tested first
+        # and a small work bound stops the walk from its far end
         def term(j):
             return ((j, 0),), -2 * 10**6 * j
 
         assert _face_runs(term, 0) == [[(1, 2 * 10**6 - 2)], []]
-        with pytest.raises(StabilizationError, match="not stabilized"):
-            _low_points(_certificate(term, 0), 2, 64)
+        monkeypatch.setattr(lattice, "POINT_BUDGET", 64)
+        with pytest.raises(StabilizationError, match="POINT_BUDGET = 64"):
+            _low_points(_certificate(term, 0))
 
     @pytest.mark.parametrize(
         "term, prec, far",
@@ -495,7 +485,7 @@ class TestRank1Extent:
         ],
     )
     def test_dip_past_the_start_of_a_ray(self, term, prec, far):
-        assert _low_points(_certificate(term, prec), 1, 64)[0] == 1 + far
+        assert _low_points(_certificate(term, prec))[0] == far
 
     @pytest.mark.parametrize(
         "term",
@@ -507,7 +497,7 @@ class TestRank1Extent:
     )
     def test_falling_or_flat_tail_diverges(self, term):
         with pytest.raises(StabilizationError, match=r"along the line j \* \(-?1,\) diverges"):
-            _low_points(_certificate(term, 4), 3, 64)
+            _low_points(_certificate(term, 4))
 
 
 class TestGrowSymmetricWindow:
@@ -520,37 +510,35 @@ class TestGrowSymmetricWindow:
         return _term_expr(lambda j: (((0, j - c), (0, c - j)), 0))
 
     @staticmethod
-    def window(members, prec, margin=3, cap=400):
-        return _members_window(members, prec, margin, cap, "Bailey step window")
+    def window(members, prec):
+        return _members_window(members, prec, "Bailey step window")
 
     def test_low_terms_near_the_origin(self):
-        assert self.window([self.dip(0)], 8) == 2 + 3
+        assert self.window([self.dip(0)], 8) == 2
 
     def test_a_dip_in_the_tail_widens_the_window(self):
         # the widest member sets the window
-        assert self.window([self.dip(0), self.dip(150)], 8) == 152 + 3
-        assert self.window([self.dip(150), self.dip(0)], 8) == 152 + 3
+        assert self.window([self.dip(0), self.dip(150)], 8) == 152
+        assert self.window([self.dip(150), self.dip(0)], 8) == 152
 
     def test_a_dip_past_the_old_horizon_is_seen(self):
         # the only low term lies 206 out, past the 200 positions that a
         # finite tail screen behind a converged window used to look at
-        assert self.window([self.dip(-206)], 1) == 206 + 3
+        assert self.window([self.dip(-206)], 1) == 206
 
     def test_a_far_dip_is_solved_not_walked(self):
-        assert self.window([self.dip(10**6)], 1, 1, 10**7) == 10**6 + 1
+        assert self.window([self.dip(10**6)], 1) == 10**6
 
-    def test_no_member_leaves_the_margin(self):
-        assert self.window([], 8) == 3
-        with pytest.raises(StabilizationError, match="not stabilized within cap 2"):
-            self.window([], 8, cap=2)
+    def test_no_member_has_window_zero(self):
+        assert self.window([], 8) == 0
 
-    def test_zero_margin_rejected(self):
-        with pytest.raises(ValueError, match="margin must be at least 1"):
-            self.window([self.dip(0)], 8, margin=0)
-
-    def test_cap_error(self):
-        with pytest.raises(StabilizationError, match="Bailey step window not stabilized"):
-            self.window([self.dip(0), self.dip(150)], 8, cap=40)
+    def test_cap_error(self, monkeypatch):
+        # the work bound holds for each member: dip(0) tests 4 points
+        # and dip(150) 5
+        monkeypatch.setattr(lattice, "POINT_BUDGET", 4)
+        assert self.window([self.dip(0)], 8) == 2
+        with pytest.raises(StabilizationError, match="^Bailey step window converges"):
+            self.window([self.dip(0), self.dip(150)], 8)
 
     def test_divergent_member_raises(self):
         # I(0, j) has degree 0 for every j >= 0

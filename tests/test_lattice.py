@@ -10,13 +10,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracle import naive_lattice_sum, same_to_order
+from tetindex import lattice
 from tetindex.errors import ExprSyntaxError, StabilizationError
 from tetindex.identities import _pentagon_sum, pentagon_rhs
 from tetindex.lattice import (
     IND41_TEXT,
     AffineForm,
     LatticeSumExpr,
-    _box_points,
+    _box_ranges,
     _Certificate,
     _faces,
     _line,
@@ -25,9 +26,7 @@ from tetindex.lattice import (
     _split,
     _symmetry_group,
     _Term,
-    box_cap_default,
     charge_product,
-    eval_expr,
     eval_expr_with_box,
     format_expr,
     ind41,
@@ -169,47 +168,50 @@ class TestEval:
                 f"sum k : q^(k) * I({m1}, {shifted(e1)}) * I({m2}, {shifted(e2)})"
                 f" * I({m1 + m2}, k)"
             )
-            got = eval_expr(parse_expr(text), 6)
+            got = eval_expr_with_box(parse_expr(text), 6)[0]
             want = pentagon_rhs(m1, m2, e1, e2, 6)
             assert equal_to_order(got, want, 6)
 
     def test_box_enlargement_stability(self):
         e = parse_expr(IND41_TEXT)
         base, extent = eval_expr_with_box(e, 8)
-        bigger = eval_expr(e, 8, min_box=extent + 4)
-        assert equal_to_order(base, bigger, 8)
+        assert equal_to_order(base, _cube_sum(e, extent + 4, 8), 8)
 
-    def test_box_cap_errors_loudly(self):
-        with pytest.raises(StabilizationError):
-            eval_expr(parse_expr(IND41_TEXT), 8, box_cap=1)
+    def test_box_cap_errors_loudly(self, monkeypatch):
+        # the work bound: ind41 at H = 8 tests 124 points
+        want = ind41(8)
+        monkeypatch.setattr(lattice, "POINT_BUDGET", 123)
+        with pytest.raises(StabilizationError, match="POINT_BUDGET = 123"):
+            ind41(8)
+        monkeypatch.setattr(lattice, "POINT_BUDGET", 124)
+        assert ind41(8) == want
 
     @pytest.mark.parametrize("kwargs", [{"margin": 0}, {"margin": -2}, {"box_cap": -1}])
     def test_vacuous_box_arguments_rejected(self, kwargs):
-        # a margin below 1 would accept a box on the tail screen alone
-        with pytest.raises(ValueError):
+        # the box is the farthest low point, with no margin or cap to set
+        with pytest.raises(TypeError):
             eval_expr_with_box(parse_expr(IND41_TEXT), 10, **kwargs)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             ind41(10, **kwargs)
 
     def test_translated_rank1_sum_is_not_truncated(self):
         # a translate of sum k : I(k, -k), whose low terms lie near k = 250
         expr = parse_expr("sum k : I(250 - k, k - 250)")
-        with pytest.raises(StabilizationError, match="not stabilized"):
-            eval_expr_with_box(expr, 8)
-        s, extent = eval_expr_with_box(expr, 8, box_cap=300)
-        assert extent == 255
-        assert s == eval_expr(parse_expr("sum k : I(k, -k)"), 8)
+        s, extent = eval_expr_with_box(expr, 8)
+        assert extent == 252
+        assert s == eval_expr_with_box(parse_expr("sum k : I(k, -k)"), 8)[0]
 
     def test_long_rank1_sum_hits_the_cap_at_once(self):
-        # every k in [0, 10^9] is a low term at H = 2; the box exceeds
-        # the cap, which is found without walking the low terms
+        # every k in [0, 10^9] is a low term at H = 2: the sum is certified
+        # convergent, and the work bound stops the walk over its low terms
         expr = parse_expr("sum k : I(0,k) * I(k - 1000000000, 0)")
-        with pytest.raises(StabilizationError, match="not stabilized"):
+        with pytest.raises(StabilizationError, match="POINT_BUDGET") as exc:
             eval_expr_with_box(expr, 2)
+        assert "converges" in str(exc.value) and "may not converge" not in str(exc.value)
 
     def test_divergent_rank1_sum_names_divergence(self):
         with pytest.raises(StabilizationError, match="diverges"):
-            eval_expr(parse_expr("sum k : q^(-k) * I(0,k)"), 10)
+            eval_expr_with_box(parse_expr("sum k : q^(-k) * I(0,k)"), 10)
 
     @pytest.mark.parametrize("rank", range(1, 5))
     @pytest.mark.parametrize("radius", range(7))
@@ -221,7 +223,7 @@ class TestEval:
             for half in _split(face)
             for leaf in _split(half)
         ]
-        points = [p for box in leaves for p in _box_points(box, radius)]
+        points = [p for box in leaves for p in itertools.product(*_box_ranges(box, radius))]
         if radius == 0:
             # the origin is summed on its own; both faces of axis 0 hold it
             points = sorted(set(points))
@@ -234,13 +236,12 @@ class TestEval:
         # a translate of ind41 whose low terms lie about 100 shells out,
         # with no low term near the origin to pull the box towards them
         expr = parse_expr("sum a b : I(a - 100, b) * I(b, a - 100)")
-        with pytest.raises(StabilizationError, match="not stabilized within cap 48"):
-            eval_expr_with_box(expr, 6)
-        with pytest.raises(StabilizationError, match="not stabilized within cap 103"):
-            eval_expr_with_box(expr, 6, box_cap=103)
-        s, extent = eval_expr_with_box(expr, 6, box_cap=104)
-        assert extent == 104
+        s, extent = eval_expr_with_box(expr, 6)
+        assert extent == 101
         assert s == ind41(6)
+        s, extent = eval_expr_with_box(expr, 10)
+        assert extent == 102
+        assert s == ind41(10)
 
     def test_divergent_rank2_sum_names_its_line(self):
         # I(-k, 0) starts at q^0 for every k >= 0
@@ -249,19 +250,23 @@ class TestEval:
 
     def test_negated_expression(self):
         e = parse_expr("sum k1 k2 : - I(k1,k2)*I(k2,k1)")
-        s = eval_expr(e, 6)
+        s = eval_expr_with_box(e, 6)[0]
         assert s.coefficient(0) == -1 and s.coefficient(2) == 8
-
-    def test_default_caps_by_rank(self):
-        assert box_cap_default(1) == 48
-        assert box_cap_default(2) == 48
-        assert box_cap_default(3) == 16
 
 
 def _charges(expr, point):
     """The (m, e) of every factor at a lattice point, from the forms in
     half-units."""
     return tuple((a(point) // 2, b(point) // 2) for a, b in expr.factors)
+
+
+def _cube_sum(expr, radius, prec):
+    """The sum over every point of the cube of the given radius, one
+    charge product per point."""
+    at, total = _Term(expr).at, zero(prec)
+    for p in itertools.product(range(-radius, radius + 1), repeat=expr.rank):
+        total = total + charge_product(*at(p), expr.sign, prec)
+    return total
 
 
 def _brute_low_points(expr, prec, radius):
@@ -326,7 +331,7 @@ class TestCertificate:
         expr, prec = case
         radius = 120 if expr.rank == 2 else 24
         try:
-            extent, points = _low_points(_Certificate(expr, prec), 3, 10**6)
+            extent, points = _low_points(_Certificate(expr, prec))
         except StabilizationError as exc:
             line = re.search(r"line j \* \(([-\d, ]+)\) diverges", str(exc))
             if line is None:
@@ -345,7 +350,7 @@ class TestCertificate:
             assert low(n) and low(n + 1) or low(-n) and low(-n - 1)
             return
         assert len(points) == len(set(points))
-        assert extent == 3 + max((max(map(abs, p)) for p in points), default=0)
+        assert extent == max((max(map(abs, p)) for p in points), default=0)
         inside = sorted(p for p in points if max(map(abs, p)) <= radius)
         assert inside == _brute_low_points(expr, prec, radius)
 
@@ -404,11 +409,8 @@ class TestCertificate:
     def test_sum_over_low_points_is_the_cube_sum(self):
         expr = parse_expr("sum a b c : I(a,b)*I(b,c)*I(c,a)")
         s, extent = eval_expr_with_box(expr, 10)
-        assert extent == 12
-        total = zero(10)
-        for p in itertools.product(range(-extent, extent + 1), repeat=3):
-            total = total + charge_product(_charges(expr, p), 0, 1, 10)
-        assert s == total
+        assert extent == 9
+        assert s == _cube_sum(expr, extent, 10)
 
 
 RANK3_FILE = Path(__file__).resolve().parent.parent / "bench" / "exprs" / "rank3.txt"
@@ -520,7 +522,7 @@ class TestSymmetry:
             assert len(calls) == want
             # the orbit sizes add up to the points: the origin and the low points
             assert sum(abs(c[2]) for c in calls) == 1 + len(
-                _low_points(_Certificate(expr, prec), 3, box_cap_default(expr.rank))[1]
+                _low_points(_Certificate(expr, prec))[1]
             )
 
     def test_orbits_must_cover_the_points(self):
@@ -551,12 +553,12 @@ class TestSymmetry:
         assert same_to_order(want, ind41(12), 12)
 
     def test_rank3_against_the_oracle(self):
-        # its box at H = 6 is 8, so every low point lies within radius 5
+        # its box at H = 6 is 5: every low point lies within radius 5
         want = naive_lattice_sum(
             lambda k: (1, 0, [(k[0], k[1]), (k[1], k[2]), (k[2], k[0])]), 3, 5, 6
         )
         got, box = eval_expr_with_box(load_expr_file(RANK3_FILE), 6)
-        assert box == 8
+        assert box == 5
         assert same_to_order(want, got, 6)
 
 
