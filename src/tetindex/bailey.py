@@ -20,6 +20,13 @@ from below at every depth, and is the right-hand side `bailey_verify`
 checks.  The step window is certified: the step term at k is bounded
 below by the least of the terms at k of one shifted-pentagon sum per
 seed point, each solved exactly by the lattice certificate.
+
+Every sum here is made of charge products (`lattice.charge_product`),
+as the lattice sums are.  After d steps alpha_n is one product per
+monomial c q^(h/2) of its seed, c (-1)^(nd) q^((h - nd)/2) times the d
+step indices; alpha and the kernel sum, whose products lead with
+I(t_d, n+k), go through the one accumulator `lattice.sum_products`.
+Each step term is one product of the two step indices times beta(k).
 """
 
 from __future__ import annotations
@@ -33,8 +40,9 @@ from .identities import (
     _pentagon_sum,
     compare_series,
 )
-from .series import QSeries, monomial, zero
-from .tetrahedron import tet_index, tet_min_degree
+from .lattice import charge_product, sum_products
+from .series import QSeries, zero
+from .tetrahedron import term_degree
 
 __all__ = [
     "BaileyState",
@@ -45,14 +53,6 @@ __all__ = [
     "bailey_verify",
     "bailey_chain",
 ]
-
-
-def _poly_to_series(poly: tuple[tuple[int, int], ...], prec: int) -> QSeries:
-    s = zero(prec)
-    for h, c in poly:
-        if c and h < prec:
-            s = s + monomial(c, h, prec)
-    return s
 
 
 class BaileyState:
@@ -82,9 +82,6 @@ class BaileyState:
     def support(self):
         return tuple(sorted(self.seed))
 
-    def _seed_lead(self, n: int) -> int:
-        return self.seed[n][0][0]
-
     def _t_at(self, depth: int) -> int:
         return self.t0 + sum(self.history[:depth])
 
@@ -97,39 +94,32 @@ class BaileyState:
             t += s
         return out
 
+    def _alpha_products(self, n: int, depth: int):
+        """alpha_n after the first `depth` steps as charge products
+        (charges, pref_h, c), one per monomial c q^(h/2) of the seed,
+        each step a factor (-1)^n q^(-n/2) I(3t-s+n, 2s-t-n)."""
+        charges = self._levels(n, depth)
+        sign = -1 if n * depth % 2 else 1
+        return [(charges, h - n * depth, sign * c) for h, c in self.seed.get(n, ())]
+
+    def _kernel_products(self, depth: int, m: int):
+        """The terms I(t, n+m) alpha_n of the kernel sum as charge
+        products, with t and alpha taken after the first `depth` steps."""
+        t = self._t_at(depth)
+        return [
+            ([(t, n + m), *charges], h, c)
+            for n in self.support()
+            for charges, h, c in self._alpha_products(n, depth)
+        ]
+
     def _alpha_lead(self, n: int, depth: int) -> int:
-        """Certified lower bound for the minimal degree of alpha_n after
-        the first `depth` steps, for n in the support."""
-        lb = self._seed_lead(n)
-        for m, e in self._levels(n, depth):
-            lb += -n + tet_min_degree(m, e)
-        return lb
+        """The minimal degree of alpha_n after the first `depth` steps,
+        for n in the support: its lowest monomial's, exact."""
+        return min(term_degree(ch, h) for ch, h, _ in self._alpha_products(n, depth))
 
     def alpha(self, n: int, prec: int) -> QSeries:
         """alpha_n at the current parameter, truncated at `prec`."""
-        return self._alpha(n, self.depth, prec)
-
-    def _alpha(self, n: int, depth: int, prec: int) -> QSeries:
-        poly = self.seed.get(n)
-        if poly is None:
-            return zero(prec)
-        chs = self._levels(n, depth)
-        sign = -1 if n % 2 else 1
-        # clamp at prec + n so one deep factor cannot starve the others
-        d_mult = [
-            -n + min(tet_min_degree(m, e), prec + n) for m, e in chs
-        ]
-        lead_lb = [self._seed_lead(n)]
-        for d in d_mult:
-            lead_lb.append(lead_lb[-1] + d)
-        if lead_lb[-1] >= prec:
-            return zero(prec)
-        cur = _poly_to_series(poly, prec - sum(d_mult))
-        for i, (m, e) in enumerate(chs):
-            p_mult = prec - lead_lb[i] - sum(d_mult[i + 1 :])
-            mult = tet_index(m, e, p_mult + n).scaled(sign, -n)
-            cur = cur * mult
-        return cur.truncated(prec)
+        return sum_products(self._alpha_products(n, self.depth), prec)
 
     # -- beta -----------------------------------------------------------
 
@@ -153,17 +143,7 @@ class BaileyState:
     def _kernel_sum(self, depth: int, m: int, prec: int) -> QSeries:
         """sum_n I(t, n+m) alpha_n, with t and alpha taken after the
         first `depth` steps."""
-        t = self._t_at(depth)
-        total = zero(prec)
-        for n in self.support():
-            alb = self._alpha_lead(n, depth)
-            d = tet_min_degree(t, n + m)
-            if alb + d >= prec:
-                continue
-            kernel = tet_index(t, n + m, prec - alb)
-            alpha = self._alpha(n, depth, prec - d)
-            total = total + (kernel * alpha).truncated(prec)
-        return total
+        return sum_products(self._kernel_products(depth, m), prec)
 
     def _pentagon_args(self, depth: int, m: int):
         """(m1, m2, e1, e2) = (2t-2s-m, m+2s-t, 2s-t, -m-s-t): at e0 = n,
@@ -187,34 +167,32 @@ class BaileyState:
         ]
 
     def _beta_step(self, depth: int, m: int, prec: int) -> QSeries:
+        """The step sum over k of the charge product
+        (-1)^m q^((2k-m)/2) I(ch1) I(ch2) times beta_{depth-1}(k): the
+        product to `prec` less beta's degree bound, beta to `prec` less
+        the product's degree."""
         extent = self.window_extents[(depth, m)] = _members_window(
             self._window_members(depth, m), prec, "Bailey step window"
         )
         sign = -1 if m % 2 else 1
         total = zero(prec)
         for k in range(-extent, extent + 1):
-            ch1, ch2 = self._step_charges(depth, m, k)
-            d1, d2 = tet_min_degree(*ch1), tet_min_degree(*ch2)
-            lb = self._beta_lead_lb(depth - 1, k)
-            pref = 2 * k - m
-            rel = prec - pref
-            if d1 + d2 + lb >= rel:  # the term starts at or above prec
+            charges, pref = self._step_charges(depth, m, k), 2 * k - m
+            d, lb = term_degree(charges, pref), self._beta_lead_lb(depth - 1, k)
+            if d + lb >= prec:  # the term starts at or above prec
                 continue
-            f1 = tet_index(*ch1, rel - d2 - lb)
-            f2 = tet_index(*ch2, rel - d1 - lb)
-            bk = self._beta(depth - 1, k, rel - d1 - d2)
-            total = total + (f1 * f2 * bk).scaled(sign, pref).truncated(prec)
+            term = charge_product(charges, pref, sign, prec - lb)
+            total = total + (term * self._beta(depth - 1, k, prec - d)).truncated(prec)
         return total
 
     def _beta_lead_lb(self, depth: int, m: int):
-        """Lower bound for beta's minimal degree, from its kernel sum
-        (infinite for an empty support, where beta is zero)."""
+        """Lower bound for beta's minimal degree, the least degree of the
+        terms of its kernel sum (infinite for an empty support, where
+        beta is zero)."""
         key = (depth, m)
         if key not in self._beta_lb:
-            t = self._t_at(depth)
             self._beta_lb[key] = min(
-                (self._alpha_lead(n, depth) + tet_min_degree(t, n + m)
-                 for n in self.support()),
+                (term_degree(ch, h) for ch, h, _ in self._kernel_products(depth, m)),
                 default=inf,
             )
         return self._beta_lb[key]
@@ -246,11 +224,14 @@ def bailey_verify(
     state: BaileyState, m_range: tuple[int, int], prec: int
 ) -> CheckReport:
     """Check the defining relation beta_m = sum_n I(t, n+m) alpha_n for
-    every m in the inclusive range."""
+    every m in the inclusive range, which must not be empty."""
+    lo, hi = m_range
+    if lo > hi:
+        raise ValueError(f"empty m range {lo}..{hi}: lo must not exceed hi")
     if prec <= 0:
         return CheckReport(prec, True)
     report = CheckReport(prec, True)
-    for m in range(m_range[0], m_range[1] + 1):
+    for m in range(lo, hi + 1):
         lhs = state.beta(m, prec)
         rhs = state._kernel_sum(state.depth, m, prec)
         report = _merge(report, compare_series(lhs, rhs, prec))

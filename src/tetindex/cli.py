@@ -172,10 +172,7 @@ def _parse_steps(text: str):
 
 def _parse_range(text: str):
     lo, _, hi = text.partition("..")
-    lo, hi = int(lo), int(hi)
-    if lo > hi:
-        raise ValueError(f"empty range {text!r}: lo must not exceed hi")
-    return lo, hi
+    return int(lo), int(hi)
 
 
 def run(argv) -> int:

@@ -37,8 +37,9 @@ unchanged: the prefactor as it is, and the factor list up to order and
 up to the duality I(m, e) = I(-e, -m).  The group is found from the
 forms, never from values (`_symmetry_group`).  Each orbit costs one
 index product times its size, and the products are added into one
-dense integer list (`_orbit_sum`).  ind41's group has 4 elements and
-the cyclic rank-3 sum I(a,b) I(b,c) I(c,a)'s has 6.
+dense integer list (`sum_products`), the accumulator that the Bailey
+sums use as well.  ind41's group has 4 elements and the cyclic rank-3
+sum I(a,b) I(b,c) I(c,a)'s has 6.
 """
 
 from __future__ import annotations
@@ -47,11 +48,12 @@ import itertools
 import re
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd, prod
-from operator import add
+from operator import add, mul
 
 from .errors import ExprSyntaxError, StabilizationError
-from .series import QSeries, _from_array, half_exp_str, zero
+from .series import QSeries, _from_array, half_exp_str, one, zero
 from .tetrahedron import term_degree, tet_index, tet_min_degree
 
 __all__ = [
@@ -61,6 +63,7 @@ __all__ = [
     "format_expr",
     "eval_expr_with_box",
     "charge_product",
+    "sum_products",
     "ind41",
     "load_expr_file",
     "IND41_TEXT",
@@ -329,17 +332,34 @@ def charge_product(charges, pref_h: int, sign: int, prec: int) -> QSeries:
     """sign * q^(pref_h/2) * prod_i I(m_i, e_i), truncated at `prec`.
 
     Each factor is computed to exactly the precision the product needs,
-    from the exact minimal degrees of the others.
+    from the exact minimal degrees of the others; with no charges the
+    product is the monomial.
     """
     degrees = [tet_min_degree(m, e) for m, e in charges]
     rel = prec - pref_h - sum(degrees)
     if rel <= 0:
         return zero(prec)
-    prod = None
-    for (m, e), d in zip(charges, degrees):
-        f = tet_index(m, e, d + rel)
-        prod = f if prod is None else prod * f
+    factors = [tet_index(m, e, d + rel) for (m, e), d in zip(charges, degrees)]
+    prod = reduce(mul, factors) if factors else one(rel)
     return prod.scaled(sign, pref_h).truncated(prec)
+
+
+def sum_products(products, prec: int) -> QSeries:
+    """The sum of the charge products (charges, pref_h, c) of
+    `charge_product`, truncated at `prec`.  The products go into one
+    dense integer list, which starts at the lowest lead so far and grows
+    downward when a product starts lower."""
+    if len(products) == 1:
+        return charge_product(*products[0], prec)
+    total, low = [], prec
+    for charges, pref_h, c in products:
+        s = charge_product(charges, pref_h, c, prec)
+        if s.lead < low:
+            total[:0] = [0] * (low - s.lead)
+            low = s.lead
+        i = s.lead - low
+        total[i:] = map(add, total[i:], s.coeffs)
+    return _from_array(low, total, prec)
 
 
 class _Term:
@@ -732,38 +752,25 @@ def _orbit_sum(expr: LatticeSumExpr, terms: dict, prec: int) -> QSeries:
     The points must be a set that the symmetry group of the sum maps
     onto itself, as the origin with the certified low points and a cube
     are.  Each orbit is summed once, as one `charge_product` at one of
-    its points times the orbit's size.  Raises RuntimeError if the orbits
-    do not cover the points exactly, which would count terms outside them.
-    The products go into one dense integer list, which starts at the
-    lowest lead so far and grows downward when a product starts lower."""
+    its points times the orbit's size, by `sum_products`.  Raises
+    RuntimeError if the orbits do not cover the points exactly, which
+    would count terms outside them."""
     sign = expr.sign
     group = _symmetry_group(expr) if len(terms) > 1 else ()
     if len(group) < 2:
-        reps = [(term, sign) for term in terms.values()]
-    else:
-        seen, reps = set(), []
-        for p, term in terms.items():
-            if p not in seen:
-                orbit = {_act(g, p) for g in group}
-                seen |= orbit
-                reps.append((term, sign * len(orbit)))
-        if len(seen) != len(terms):
-            raise RuntimeError(
-                f"the orbits of {len(reps)} points hold {len(seen)} points, "
-                f"not the {len(terms)} to be summed"
-            )
-    if len(reps) == 1:
-        (charges, pref_h), c = reps[0]
-        return charge_product(charges, pref_h, c, prec)
-    total, low = [], prec
-    for (charges, pref_h), c in reps:
-        s = charge_product(charges, pref_h, c, prec)
-        if s.lead < low:
-            total[:0] = [0] * (low - s.lead)
-            low = s.lead
-        i = s.lead - low
-        total[i:] = map(add, total[i:], s.coeffs)
-    return _from_array(low, total, prec)
+        return sum_products([(*term, sign) for term in terms.values()], prec)
+    seen, reps = set(), []
+    for p, term in terms.items():
+        if p not in seen:
+            orbit = {_act(g, p) for g in group}
+            seen |= orbit
+            reps.append((*term, sign * len(orbit)))
+    if len(seen) != len(terms):
+        raise RuntimeError(
+            f"the orbits of {len(reps)} points hold {len(seen)} points, "
+            f"not the {len(terms)} to be summed"
+        )
+    return sum_products(reps, prec)
 
 
 def _evaluate(expr, prec, what):

@@ -24,11 +24,9 @@ Arithmetic cost:
   above a slot filled with its sign by one `bytes.translate`, and
   `array.tolist` makes the ints.  On the 929 products of a
   kernel-highprec pass (2-core x86-64 VM, CPython 3.11), each timed
-  alone (best of 7), `_kronecker` takes 0.082-0.097 s in two runs,
-  against 0.111-0.130 s when every coefficient went through
-  `int.to_bytes` and `int.from_bytes`; the big-integer multiply is now
-  43-45% of it, packing 21-22% and unpacking 16% (32-34%, 26-27% and
-  27% before), and the rest is mostly the scan for the slot width.
+  alone (best of 7), `_kronecker` takes 0.082-0.097 s in two runs; the
+  big-integer multiply is 43-45% of it, packing 21-22% and unpacking
+  16%, and the rest is mostly the scan for the slot width.
 - `inverse` has two paths, chosen by the exact number of multiply-adds
   the triangular recursion over the nonzero coefficients of the divisor
   would take.  Below `NEWTON_MIN` it runs that recursion, which is cheap

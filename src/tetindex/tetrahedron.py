@@ -20,8 +20,7 @@ enough; otherwise by the member (-m, e+m) at `prec - m` when m > 0,
 and by its dual instead when that is cancellation-free too and its
 leads climb faster (smaller first charge).  ind41 at half-exponent 300
 takes 0.12-0.14 s from cold caches this way, and 0.43-0.44 s at 500
-(CPython 3.11, 2-core VM), against 2-3 s at 300 summing every charge
-directly.
+(CPython 3.11, 2-core VM).
 
 A single growing cache stores, per charge pair, the highest-precision
 series computed by its own sum over n; derived members are never

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from oracle import naive_tet_index, same_to_order
+from oracle import dict_add, dict_mul, dict_scale, naive_tet_index, same_to_order
 from tetindex import bailey
 from tetindex.bailey import (
     bailey_beta,
@@ -14,7 +14,7 @@ from tetindex.bailey import (
 )
 from tetindex.identities import pentagon_shifted_check
 from tetindex.lattice import _Term
-from tetindex.series import equal_to_order, zero
+from tetindex.series import equal_to_order, monomial, zero
 from tetindex.tetrahedron import tet_index
 
 
@@ -45,6 +45,8 @@ class TestSeed:
         st = bailey_seed(1, {0: ((-1, 1), (2, -1))})
         want = tet_index(1, 0, 10).scaled(1, -1) + tet_index(1, 0, 7).scaled(-1, 2)
         assert equal_to_order(st.beta(0, 6), want.truncated(6), 6)
+        # at depth 0 alpha is the seed polynomial itself
+        assert st.alpha(0, 6) == monomial(1, -1, 6) + monomial(-1, 2, 6)
 
     def test_depth0_verify_is_tautological(self):
         for n0 in (-1, 0, 2):
@@ -158,8 +160,6 @@ class TestAgainstOracle:
             rel = prec - pref
             if rel <= 0:
                 continue
-            from oracle import dict_add, dict_mul
-
             term = dict_mul(
                 naive_tet_index(-m - 2 + 2, 2 - 1 + k, rel),
                 dict_mul(
@@ -174,11 +174,62 @@ class TestAgainstOracle:
         assert same_to_order(acc, st.beta(m, prec), prec)
 
 
+class TestMultipointAgainstOracle:
+    """alpha and the kernel sum of a Laurent seed with an odd and an even
+    seed point, after two and three steps, from the oracle's index and
+    dict products alone: each step multiplies alpha_n by
+    (-1)^n q^(-n/2) I(3t-s+n, 2s-t-n), applied here one step at a time."""
+
+    T0, SEED, STEPS, H = 0, {-1: ((0, 1),), 2: ((1, -3), (4, 2))}, (0, 1, -2), 16
+
+    def state(self, depth):
+        st = bailey_seed(self.T0, self.SEED)
+        for s in self.STEPS[:depth]:
+            st = bailey_step(st, s)
+        return st
+
+    def oracle_alpha(self, n, depth):
+        """alpha_n after `depth` steps below H, and the half-exponent that
+        bounds its lead from below.  Every index starts at q^0 or higher
+        (asserted), so each is needed only to H less that bound."""
+        low = min(h for h, _ in self.SEED[n]) - n * depth
+        poly, indices, t = dict(self.SEED[n]), {0: 1}, self.T0
+        for s in self.STEPS[:depth]:
+            index = naive_tet_index(3 * t - s + n, 2 * s - t - n, self.H - low)
+            assert min(index, default=0) >= 0
+            indices = dict_mul(indices, index, self.H - low)
+            poly = dict_scale(poly, -1 if n % 2 else 1, -n)
+            t += s
+        assert min(poly) == low
+        return dict_mul(poly, indices, self.H), low
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_alpha_and_kernel_sum(self, depth):
+        st, t = self.state(depth), self.T0 + sum(self.STEPS[:depth])
+        alphas = {n: self.oracle_alpha(n, depth) for n in self.SEED}
+        for n, (alpha, _) in alphas.items():
+            assert alpha and same_to_order(alpha, st.alpha(n, self.H), self.H), n
+        for m in (-2, -1, 0, 2):
+            want = {}
+            for n, (alpha, low) in alphas.items():
+                kernel = naive_tet_index(t, n + m, self.H - low)
+                want = dict_add(want, dict_mul(kernel, alpha, self.H), self.H)
+            assert want and same_to_order(want, st._kernel_sum(depth, m, self.H), self.H), m
+
+
 class TestVerify:
     def test_degenerate_precision_vacuous(self):
         st = bailey_seed_delta(0, 1)
         rep = bailey_verify(st, (-2, 2), 0)
         assert rep.holds and rep.verified_to == 0
+
+    def test_empty_m_range_rejected(self):
+        # a check that compares no beta is refused, not reported as holding
+        with pytest.raises(ValueError, match="range"):
+            bailey_verify(bailey_seed_delta(0, 1), (3, -3), 8)
+        with pytest.raises(ValueError, match="range"):
+            bailey_chain(0, 1, [1, -1], (2, 1), 8)
+        assert bailey_verify(bailey_seed_delta(0, 1), (2, 2), 8).holds
 
     def test_chain_report_count(self):
         reports = bailey_chain(1, -1, [0], (-1, 1), 5)
