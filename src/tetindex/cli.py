@@ -12,6 +12,10 @@ error after a known command is reported by that command's parser
 option before it, by the top-level parser ("tetindex: error: ...").
 The identity checks (triality, pentagon, bailey) need --prec of at
 least 1: below that they would compare no coefficient.
+
+An argv of a command's full flag names with well-formed values is read
+straight from the option table `_COMMANDS`; every other argv goes to
+argparse, which gives the same result and writes all help and errors.
 """
 
 from __future__ import annotations
@@ -92,17 +96,61 @@ def _emit(meta: dict, result, fmt: str, out) -> None:
             print(_report_text(r, fmt == "latex"), file=out)
 
 
+def _parse_steps(text: str) -> list[int]:
+    """--steps: the step parameters, separated by commas, or none."""
+    if not text.strip():
+        return []
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected integers separated by commas, got {text!r}"
+        ) from None
+
+
+def _parse_range(text: str) -> tuple[int, int]:
+    """--m-range: LO..HI, both ends included."""
+    lo, _, hi = text.partition("..")
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected LO..HI, got {text!r}") from None
+
+
+# Every command's options, each flag with the keywords of its
+# add_argument call: `_parser` builds argparse from this table and
+# `_quick_parse` reads well-formed argv straight from it.
+_INT = {"type": int, "required": True}
+_COMMON = {
+    "--prec": {**_INT, "metavar": "H",
+               "help": "precision bound in HALF-units: coefficients are computed "
+               "for all exponents strictly below H/2"},
+    "--format": {"choices": ("text", "json", "latex"), "default": "text"},
+}
 # the commands, in the order `tetindex -h` lists them, with their help
+# and their options
 _COMMANDS = {
-    "tet": "tetrahedron index I(m,e)",
-    "triality": "triality relations",
-    "pentagon": "pentagon identity",
-    "bailey": "Bailey chain verification",
-    "eval": "evaluate an expression file",
-    "ind41": "figure-eight-knot index",
+    "tet": ("tetrahedron index I(m,e)", {**_COMMON, "-m": _INT, "-e": _INT}),
+    "triality": ("triality relations", {**_COMMON, "-m": _INT, "-e": _INT}),
+    "pentagon": ("pentagon identity", {
+        **_COMMON, "--m1": _INT, "--m2": _INT, "--e1": _INT, "--e2": _INT,
+        "--e0": {"type": int, "default": None},
+        "--shifted": {"action": "store_true"},
+    }),
+    "bailey": ("Bailey chain verification", {
+        **_COMMON, "--n0": _INT, "--t": _INT,
+        "--steps": {"type": _parse_steps, "default": ""},
+        "--m-range": {"type": _parse_range, "default": "-3..3"},
+    }),
+    "eval": ("evaluate an expression file", {**_COMMON, "--file": {"required": True}}),
+    "ind41": ("figure-eight-knot index", _COMMON),
 }
 # the identity checks: below --prec 1 they would compare no coefficient
 _CHECKS = ("triality", "pentagon", "bailey")
+
+
+def _dest(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
 
 
 @functools.cache
@@ -111,31 +159,61 @@ def _parser(command: str) -> argparse.ArgumentParser:
     call: each parse_args fills a fresh namespace, so no call sees
     another's options."""
     p = argparse.ArgumentParser(prog=f"tetindex {command}")
-    p.add_argument(
-        "--prec",
-        type=int,
-        required=True,
-        metavar="H",
-        help="precision bound in HALF-units: coefficients are computed for "
-        "all exponents strictly below H/2",
-    )
-    p.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    if command in ("tet", "triality"):
-        p.add_argument("-m", type=int, required=True)
-        p.add_argument("-e", type=int, required=True)
-    elif command == "pentagon":
-        for name in ("--m1", "--m2", "--e1", "--e2"):
-            p.add_argument(name, type=int, required=True)
-        p.add_argument("--e0", type=int, default=None)
-        p.add_argument("--shifted", action="store_true")
-    elif command == "bailey":
-        p.add_argument("--n0", type=int, required=True)
-        p.add_argument("--t", type=int, required=True)
-        p.add_argument("--steps", type=str, default="")
-        p.add_argument("--m-range", type=str, default="-3..3")
-    elif command == "eval":
-        p.add_argument("--file", required=True)
+    for flag, keywords in _COMMANDS[command][1].items():
+        p.add_argument(flag, dest=_dest(flag), **keywords)
     return p
+
+
+def _quick_parse(command: str, args: list[str]) -> argparse.Namespace | None:
+    """The namespace `_parser(command)` makes of `args`, read straight from
+    the option table, or None unless every token is one of the command's
+    own flags, or `flag=value`, with a well-formed value.  A value in the
+    next token may start with "-" only as a negative integer, as argparse
+    reads it; every other argv is left to argparse."""
+    options = _COMMANDS[command][1]
+    given = {}
+    i = 0
+    while i < len(args):
+        flag, eq, value = args[i].partition("=")
+        keywords = options.get(flag)
+        if keywords is None:
+            return None
+        i += 1
+        if "action" in keywords:  # a switch: store_true
+            if eq:
+                return None
+            given[flag] = True
+            continue
+        if not eq:
+            if i == len(args):
+                return None
+            value = args[i]
+            i += 1
+            digits = value[1:]
+            if value.startswith("-") and not (digits.isascii() and digits.isdigit()):
+                return None
+        try:
+            value = keywords.get("type", str)(value)
+        except (ValueError, argparse.ArgumentTypeError):
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        given[flag] = value
+    namespace = argparse.Namespace(command=command)
+    for flag, keywords in options.items():
+        if flag in given:
+            value = given[flag]
+        elif keywords.get("required"):
+            return None
+        elif "action" in keywords:
+            value = False
+        else:
+            # argparse passes a string default through the option's type
+            value = keywords.get("default")
+            if isinstance(value, str):
+                value = keywords.get("type", str)(value)
+        setattr(namespace, _dest(flag), value)
+    return namespace
 
 
 class _Deferred:
@@ -159,20 +237,9 @@ def _top_parser() -> argparse.ArgumentParser:
         description="Exact q-series computations with the tetrahedron index.",
     )
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Deferred)
-    for command, help_text in _COMMANDS.items():
+    for command, (help_text, _) in _COMMANDS.items():
         sub.add_parser(command, help=help_text)
     return p
-
-
-def _parse_steps(text: str):
-    if not text.strip():
-        return []
-    return [int(x) for x in text.split(",")]
-
-
-def _parse_range(text: str):
-    lo, _, hi = text.partition("..")
-    return int(lo), int(hi)
 
 
 def run(argv) -> int:
@@ -181,9 +248,11 @@ def run(argv) -> int:
     command = argv[0] if argv else None
     try:
         if command in _COMMANDS:
-            args = _parser(command).parse_args(
-                argv[1:], argparse.Namespace(command=command)
-            )
+            args = _quick_parse(command, argv[1:])
+            if args is None:
+                args = _parser(command).parse_args(
+                    argv[1:], argparse.Namespace(command=command)
+                )
         else:
             args = _top_parser().parse_args(argv)
     except SystemExit as exc:
@@ -216,12 +285,11 @@ def run(argv) -> int:
             result = [rep]
         elif args.command == "bailey":
             state = bailey.bailey_seed_delta(args.n0, args.t)
-            m_range = _parse_range(args.m_range)
-            result = [bailey.bailey_verify(state, m_range, args.prec)]
+            result = [bailey.bailey_verify(state, args.m_range, args.prec)]
             extents = dict(state.window_extents)
-            for s in _parse_steps(args.steps):
+            for s in args.steps:
                 state = bailey.bailey_step(state, s)
-                result.append(bailey.bailey_verify(state, m_range, args.prec))
+                result.append(bailey.bailey_verify(state, args.m_range, args.prec))
                 extents.update(state.window_extents)
             meta["window"] = max(extents.values(), default=0)
         else:

@@ -1,10 +1,15 @@
 import argparse
+import contextlib
+import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tetindex
 
@@ -16,9 +21,8 @@ from tetindex.series import QSeries
 from tetindex.tetrahedron import tet_index
 
 
-DIVERGENT_FILE = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "exprs", "divergent.txt"
-)
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DIVERGENT_FILE = os.path.join(REPO, "bench", "exprs", "divergent.txt")
 
 
 def invoke(capsys, *argv):
@@ -220,6 +224,22 @@ class TestExitCodes:
         )
         assert code == 2 and out == "" and "range" in err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--m-range", "3", "expected LO..HI, got '3'"),
+            ("--m-range", "a..b", "expected LO..HI, got 'a..b'"),
+            ("--m-range", "1..2..3", "expected LO..HI, got '1..2..3'"),
+            ("--steps", "1,,2", "expected integers separated by commas, got '1,,2'"),
+        ],
+    )
+    def test_malformed_m_range_or_steps_names_its_flag(self, capsys, flag, value, message):
+        code, out, err = invoke(
+            capsys, "bailey", "--n0", "0", "--t", "1", f"{flag}={value}", "--prec", "8"
+        )
+        assert code == 2 and out == ""
+        assert f"tetindex bailey: error: argument {flag}: {message}\n" in err
+
     @pytest.mark.parametrize("margin", ["0", "-2"])
     def test_margin_below_one_is_two(self, capsys, margin):
         # no command takes --margin: the box is the farthest low point
@@ -378,8 +398,10 @@ class TestParserReuse:
         assert rec["meta"]["window"] == identities.pentagon_window_extent(1, 0, 1, 0, 8)
 
     def test_each_parser_is_built_once(self, capsys, monkeypatch):
-        # a command builds its own parser on first use and no other, and
-        # the top-level parser builds none of the commands' parsers
+        # a well-formed argv is read from the option table and builds no
+        # parser; help or a usage error after a command builds that
+        # command's parser once and no other; the top-level parser builds
+        # none of the commands' parsers
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -394,6 +416,10 @@ class TestParserReuse:
             for _ in range(2):
                 assert invoke(capsys, "tet", "-m", "0", "-e", "0", "--prec", "4")[0] == 0
                 assert invoke(capsys, "triality", "-m", "0", "-e", "0", "--prec", "4")[0] == 0
+            assert built == []
+            for _ in range(2):
+                assert invoke(capsys, "tet", "-h")[0] == 0
+                assert invoke(capsys, "triality", "-m", "0", "--prec", "4")[0] == 2
             assert built == ["tetindex tet", "tetindex triality"]
             assert invoke(capsys, "-h")[0] == 0
             assert invoke(capsys, "frobnicate")[0] == 2
@@ -401,6 +427,110 @@ class TestParserReuse:
         finally:
             cli._parser.cache_clear()
             cli._top_parser.cache_clear()
+
+
+def _argparse_parse(command, args):
+    """What the command's argparse parser makes of `args`: its namespace,
+    or None where it exits with help or a usage error."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli._parser(command).parse_args(args, argparse.Namespace(command=command))
+        except SystemExit:
+            return None
+
+
+# values a flag may meet: ints in spellings int() reads or refuses (an
+# Arabic-Indic three, a superscript two), ranges, step lists, the empty string
+_VALUES = ("0", "7", "-3", "+5", " 5", "1_0", "\u0663", "\u00b2", "-\u0663",
+           "-2..2", "1,-1", "1,,2", "", "json", "latex", "x")
+_STRAYS = ("-", "-h", "--", "stray", "-m3", "-5")
+
+
+@st.composite
+def _command_argv(draw):
+    """A command and an argv: its required flags with good values, and a few
+    of its flags or their abbreviations, in the space, equals or bare form,
+    or stray tokens, in any order."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    options = cli._COMMANDS[command][1]
+    flags = list(options)
+    spelling = st.sampled_from(
+        flags + [f[:k] for f in flags if f.startswith("--") for k in range(3, len(f))]
+    )
+    value = st.sampled_from(_VALUES)
+    item = st.one_of(
+        st.tuples(spelling, value).map(list),
+        st.builds(lambda f, v: [f"{f}={v}"], spelling, value),
+        spelling.map(lambda f: [f]),
+        st.sampled_from(_STRAYS).map(lambda t: [t]),
+    )
+    good = st.sampled_from(("0", "-2", "12"))
+    items = [[flag, draw(good)] for flag, keywords in options.items()
+             if keywords.get("required")]
+    items = draw(st.permutations(items + draw(st.lists(item, max_size=4))))
+    return command, [token for it in items for token in it]
+
+
+class TestQuickParse:
+    """An argv of a command's full flag names with well-formed values is
+    read straight from the option table; any other is left to argparse."""
+
+    _PENTAGON = ["--m1", "1", "--m2", "0", "--e1", "1", "--e2", "0", "--prec", "8"]
+
+    @settings(max_examples=400, deadline=None)
+    @given(_command_argv())
+    @example(("pentagon", _PENTAGON + ["--shifted=1"]))
+    @example(("pentagon", _PENTAGON + ["--shifted="]))
+    @example(("pentagon", _PENTAGON + ["--shifted", "--shifted", "--e0=-1"]))
+    @example(("bailey", ["--n0", "0", "--t", "1", "--prec", "8", "--m-range", "-2..2"]))
+    @example(("eval", ["--file", "-", "--prec", "8"]))
+    @example(("eval", ["--file=-", "--prec=8", "--prec", "9"]))
+    @example(("tet", ["-m", "0", "-e", "0", "--prec", "8", "--format", "json", "--format", "x"]))
+    def test_quick_parse_agrees_with_argparse(self, case):
+        command, args = case
+        quick = cli._quick_parse(command, args)
+        full = _argparse_parse(command, args)
+        assert quick is None or quick == full
+        if full is None:
+            assert quick is None
+
+    def test_every_benchmark_argv_takes_the_quick_path(self):
+        # a mistyped table entry would send these jobs to argparse quietly
+        spec = importlib.util.spec_from_file_location(
+            "workloads", os.path.join(REPO, "bench", "workloads.py")
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for name in workloads.WORKLOADS:
+            for job in workloads.universe(name):
+                command, *args = job["argv"] + ["--format", "json"]
+                quick = cli._quick_parse(command, args)
+                assert quick is not None and quick == _argparse_parse(command, args), args
+
+    @pytest.mark.parametrize(
+        "args, quick",
+        [
+            (["-m", "-3", "-e", "7", "--prec", "20"], True),
+            (["-m=-3", "-e=7", "--prec=20"], True),
+            (["--prec", "20", "-e", "7", "-m", "-3", "--format", "json", "--format=text"], True),
+            (["-m", "-3", "-e", "7", "--pre", "20"], False),
+            (["-m", "-3 ", "-e", "7", "--prec", "20"], False),
+            (["-m", "-\u0663", "-e", "7", "--prec", "20"], False),
+        ],
+    )
+    def test_spellings_of_one_tet(self, args, quick):
+        want = argparse.Namespace(command="tet", m=-3, e=7, prec=20, format="text")
+        if quick:
+            assert cli._quick_parse("tet", args) == want
+        else:
+            assert cli._quick_parse("tet", args) is None
+        assert _argparse_parse("tet", args) == want
+
+    def test_string_defaults_pass_through_the_type(self):
+        args = ["--n0", "0", "--t", "1", "--prec", "6"]
+        ns = cli._quick_parse("bailey", args)
+        assert ns == _argparse_parse("bailey", args)
+        assert (ns.steps, ns.m_range) == ([], (-3, 3))
 
 
 class TestCommands:
