@@ -16,7 +16,6 @@ from tetindex import (
     pentagon_lhs,
     pentagon_rhs,
     pentagon_shifted_check,
-    pentagon_window_extent,
     triality_check,
 )
 
@@ -28,9 +27,8 @@ for m, e in [(1, 0), (-2, 3), (4, -4)]:
 print("\nPentagon: I(m1-e2,e1) I(m2-e1,e2) = sum_e3 q^(e3) I(m1,e1+e3) I(m2,e2+e3) I(m1+m2,e3)\n")
 for args in [(0, 0, 0, 0), (1, -1, 2, 0), (2, 2, 2, 2)]:
     rep = pentagon_check(*args, 8)
-    w = pentagon_window_extent(*args, 8)
     status = "holds" if rep.holds else f"FAILS at {rep.first_mismatch}"
-    print(f"  {args}: {status}, window half-width {w}")
+    print(f"  {args}: {status}, window half-width {rep.window}")
 
 print("\nThe case (2,2,2,2) is instructive: both sides reduce to")
 print(f"  lhs = {pentagon_lhs(2, 2, 2, 2, 8)}")

@@ -29,8 +29,6 @@ from .identities import (
     pentagon_shifted_check,
     pentagon_shifted_lhs,
     pentagon_shifted_rhs,
-    pentagon_shifted_window_extent,
-    pentagon_window_extent,
     triality_check,
 )
 from .lattice import (
@@ -65,8 +63,6 @@ __all__ = [
     "pentagon_shifted_lhs",
     "pentagon_shifted_rhs",
     "pentagon_shifted_check",
-    "pentagon_window_extent",
-    "pentagon_shifted_window_extent",
     "BaileyState",
     "bailey_seed_delta",
     "bailey_seed",

@@ -33,13 +33,7 @@ from __future__ import annotations
 
 from math import inf
 
-from .identities import (
-    CheckReport,
-    _members_window,
-    _merge,
-    _pentagon_sum,
-    compare_series,
-)
+from .identities import CheckReport, _members_window, _pentagon_sum, compare_series
 from .lattice import charge_product, sum_products
 from .series import QSeries, zero
 from .tetrahedron import term_degree
@@ -224,18 +218,16 @@ def bailey_verify(
     state: BaileyState, m_range: tuple[int, int], prec: int
 ) -> CheckReport:
     """Check the defining relation beta_m = sum_n I(t, n+m) alpha_n for
-    every m in the inclusive range, which must not be empty."""
+    every m in the inclusive range, which must not be empty.  The report
+    carries the widest step window the state summed over, 0 for none."""
     lo, hi = m_range
     if lo > hi:
         raise ValueError(f"empty m range {lo}..{hi}: lo must not exceed hi")
-    if prec <= 0:
-        return CheckReport(prec, True)
-    report = CheckReport(prec, True)
-    for m in range(lo, hi + 1):
-        lhs = state.beta(m, prec)
-        rhs = state._kernel_sum(state.depth, m, prec)
-        report = _merge(report, compare_series(lhs, rhs, prec))
-    return report
+    pairs = [
+        (state.beta(m, prec), state._kernel_sum(state.depth, m, prec))
+        for m in range(lo, hi + 1)
+    ]
+    return compare_series(pairs, prec, max(state.window_extents.values(), default=0))
 
 
 def bailey_chain(

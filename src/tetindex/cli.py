@@ -281,17 +281,11 @@ def run(argv) -> int:
                 rep = identities.pentagon_check(
                     args.m1, args.m2, args.e1, args.e2, args.prec
                 )
-            meta["window"] = rep.window
             result = [rep]
         elif args.command == "bailey":
-            state = bailey.bailey_seed_delta(args.n0, args.t)
-            result = [bailey.bailey_verify(state, args.m_range, args.prec)]
-            extents = dict(state.window_extents)
-            for s in args.steps:
-                state = bailey.bailey_step(state, s)
-                result.append(bailey.bailey_verify(state, args.m_range, args.prec))
-                extents.update(state.window_extents)
-            meta["window"] = max(extents.values(), default=0)
+            result = bailey.bailey_chain(
+                args.n0, args.t, args.steps, args.m_range, args.prec
+            )
         else:
             if args.command == "eval":
                 expr = lattice.load_expr_file(args.file)
@@ -308,6 +302,11 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    if not isinstance(result, QSeries):
+        # the widest charge-sum window any report summed over
+        windows = [r.window for r in result if r.window is not None]
+        if windows:
+            meta["window"] = max(windows)
     _emit(meta, result, args.format, sys.stdout)
     if isinstance(result, QSeries) or all(r.holds for r in result):
         return EXIT_OK

@@ -17,7 +17,6 @@ from tetindex.identities import (
     pentagon_check,
     pentagon_rhs,
     pentagon_shifted_check,
-    pentagon_window_extent,
     triality_check,
 )
 from tetindex.lattice import (
@@ -128,7 +127,7 @@ def test_criterion_7_ring_axioms_and_replay_stability():
         ok = ok and equal_to_order(v * v.inverse(), one(v.prec), v.prec)
     for args in [(0, 0, 0, 0), (2, 2, 2, 2), (1, -1, 2, 0)]:
         base = pentagon_rhs(*args, 8)
-        extent = pentagon_window_extent(*args, 8)
+        extent = pentagon_check(*args, 8).window
         ok = ok and equal_to_order(base, _cube_sum(_pentagon_sum(*args), extent + 8, 8), 8)
     expr = parse_expr(IND41_TEXT)
     base, extent = eval_expr_with_box(expr, 8)

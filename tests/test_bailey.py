@@ -219,9 +219,8 @@ class TestMultipointAgainstOracle:
 
 class TestVerify:
     def test_degenerate_precision_vacuous(self):
-        st = bailey_seed_delta(0, 1)
-        rep = bailey_verify(st, (-2, 2), 0)
-        assert rep.holds and rep.verified_to == 0
+        with pytest.raises(ValueError, match="compare no coefficient"):
+            bailey_verify(bailey_seed_delta(0, 1), (-2, 2), 0)
 
     def test_empty_m_range_rejected(self):
         # a check that compares no beta is refused, not reported as holding
@@ -234,6 +233,20 @@ class TestVerify:
     def test_chain_report_count(self):
         reports = bailey_chain(1, -1, [0], (-1, 1), 5)
         assert len(reports) == 2 and all(r.holds for r in reports)
+
+    @pytest.mark.parametrize(
+        "n0, t, steps, m_range, prec",
+        [(0, 1, [1, -1, 2, 0, 1, -1], (-3, 3), 12), (2, 1, [-2, 1], (-2, 2), 8)],
+    )
+    def test_each_level_reports_its_widest_step_window(self, n0, t, steps, m_range, prec):
+        states = [bailey_seed_delta(n0, t)]
+        for s in steps:
+            states.append(bailey_step(states[-1], s))
+        reports = bailey_chain(n0, t, steps, m_range, prec)
+        assert reports == [bailey_verify(state, m_range, prec) for state in states]
+        windows = [max(state.window_extents.values(), default=0) for state in states]
+        assert [r.window for r in reports] == windows
+        assert all(r.holds for r in reports) and windows[0] == 0 and max(windows) >= 1
 
 
 class TestKnownFalseMismatch:

@@ -395,7 +395,7 @@ class TestParserReuse:
             assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
         rec = json.loads(out)
         assert rec["reports"][0]["holds"]
-        assert rec["meta"]["window"] == identities.pentagon_window_extent(1, 0, 1, 0, 8)
+        assert rec["meta"]["window"] == identities.pentagon_check(1, 0, 1, 0, 8).window
 
     def test_each_parser_is_built_once(self, capsys, monkeypatch):
         # a well-formed argv is read from the option table and builds no
@@ -549,7 +549,7 @@ class TestCommands:
         assert code == 0
         rec = json.loads(out)
         assert rec["reports"][0]["holds"] is True
-        assert rec["meta"]["window"] >= 1
+        assert rec["meta"]["window"] == 1
 
     def test_bailey_chain(self, capsys):
         code, out, _ = invoke(
@@ -561,6 +561,22 @@ class TestCommands:
         rec = json.loads(out)
         assert len(rec["reports"]) == 2
         assert all(r["holds"] for r in rec["reports"])
+
+    @pytest.mark.parametrize(
+        "argv, levels, window",
+        [
+            (("--n0", "0", "--t", "1", "--steps=1,-1,2,0,1,-1", "--m-range=-3..3",
+              "--prec", "12"), 7, 2),
+            (("--n0", "2", "--t", "1", "--steps=-2,1", "--m-range=-2..2",
+              "--prec", "8"), 3, 4),
+        ],
+    )
+    def test_bailey_window_is_the_widest_level(self, capsys, argv, levels, window):
+        code, out, _ = invoke(capsys, "bailey", *argv, "--format", "json")
+        rec = json.loads(out)
+        assert code == 0 and len(rec["reports"]) == levels
+        assert all(r["holds"] for r in rec["reports"])
+        assert rec["meta"]["window"] == window
 
     def test_ind41_json_has_box(self, capsys):
         code, out, _ = invoke(capsys, "ind41", "--prec", "10", "--format", "json")

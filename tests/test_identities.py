@@ -37,13 +37,27 @@ from tetindex.tetrahedron import clear_caches, term_degree, tet_index
 
 class TestCompare:
     def test_holds(self):
-        rep = compare_series(one(8), one(8), 8)
-        assert rep.holds and rep.first_mismatch is None
+        rep = compare_series([(one(8), one(8))], 8)
+        assert rep.holds and rep.first_mismatch is None and rep.window is None
 
     def test_first_mismatch_location(self):
-        rep = compare_series(one(8), one(8) + monomial(3, 5, 8), 8)
+        rep = compare_series([(one(8), one(8) + monomial(3, 5, 8))], 8, window=2)
         assert not rep.holds
-        assert rep.first_mismatch == (5, 0, 3)
+        assert rep.first_mismatch == (5, 0, 3) and rep.window == 2
+
+    def test_lowest_mismatch_of_any_pair_and_first_on_a_tie(self):
+        a, b = one(8) + monomial(2, 6, 8), one(8) + monomial(7, 3, 8)
+        c = one(8) + monomial(-4, 3, 8)
+        assert compare_series([(one(8), a), (one(8), b)], 8).first_mismatch == (3, 0, 7)
+        assert compare_series([(one(8), one(8)), (one(8), a)], 8).first_mismatch == (6, 0, 2)
+        assert compare_series([(one(8), b), (one(8), c)], 8).first_mismatch == (3, 0, 7)
+        assert compare_series([(one(8), c), (one(8), b)], 8).first_mismatch == (3, 0, -4)
+        assert compare_series([], 8).holds
+
+    @pytest.mark.parametrize("order", [0, -2])
+    def test_order_below_one_is_refused(self, order):
+        with pytest.raises(ValueError, match="compare no coefficient"):
+            compare_series([(one(8), one(8))], order)
 
 
 class TestTriality:
@@ -61,8 +75,8 @@ class TestTriality:
         assert triality_check(m, e, 12).holds
 
     def test_degenerate_precision_vacuous(self):
-        rep = triality_check(5, -5, 0)
-        assert rep.holds and rep.verified_to == 0
+        with pytest.raises(ValueError, match="compare no coefficient"):
+            triality_check(5, -5, 0)
 
     def test_sides_are_independent_direct_sums(self):
         # from cold caches, each side is summed under its own charge key
@@ -112,8 +126,8 @@ class TestDuality:
         clear_caches()
 
     def test_degenerate_precision_vacuous(self):
-        rep = duality_check(4, -1, 0)
-        assert rep.holds and rep.verified_to == 0
+        with pytest.raises(ValueError, match="compare no coefficient"):
+            duality_check(4, -1, 0)
 
 
 class TestPentagon:
@@ -145,7 +159,7 @@ class TestPentagon:
     def test_window_enlargement_stability(self):
         for args in [(0, 0, 0, 0), (1, -1, 2, 0), (-2, 2, -1, 1)]:
             base = pentagon_rhs(*args, 8)
-            extent = pentagon_window_extent(*args, 8)
+            extent = pentagon_check(*args, 8).window
             bigger = _cube_sum(_pentagon_sum(*args), extent + 8, 8)
             assert equal_to_order(base, bigger, 8)
 
@@ -168,7 +182,8 @@ class TestPentagon:
             rhs(*args, 8)
 
     def test_degenerate_precision_vacuous(self):
-        assert pentagon_check(2, 2, 2, 2, 0).holds
+        with pytest.raises(ValueError, match="compare no coefficient"):
+            pentagon_check(2, 2, 2, 2, 0)
 
     @pytest.mark.parametrize("kwargs", [{"margin": 0}, {"margin": -1}, {"cap": -1}])
     def test_vacuous_window_arguments_rejected(self, kwargs):
@@ -199,7 +214,8 @@ class TestShiftedPentagon:
         assert equal_to_order(base, bigger, 8)
 
     def test_degenerate_precision_vacuous(self):
-        assert pentagon_shifted_check(1, 1, 1, 1, 1, -2).holds
+        with pytest.raises(ValueError, match="compare no coefficient"):
+            pentagon_shifted_check(1, 1, 1, 1, 1, -2)
 
 
 class TestSweeps:
