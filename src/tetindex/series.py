@@ -23,10 +23,11 @@ Arithmetic cost:
   back, the slots are widened the same way to 64-bit words, the bytes
   above a slot filled with its sign by one `bytes.translate`, and
   `array.tolist` makes the ints.  On the 929 products of a
-  kernel-highprec pass (2-core x86-64 VM, CPython 3.11), each timed
-  alone (best of 7), `_kronecker` takes 0.082-0.097 s in two runs; the
-  big-integer multiply is 43-45% of it, packing 21-22% and unpacking
-  16%, and the rest is mostly the scan for the slot width.
+  kernel-highprec pass at commit 1809753, which built every body from
+  rows (2-core x86-64 VM, CPython 3.11), each timed alone (best of 7),
+  `_kronecker` takes 0.082-0.097 s in two runs; the big-integer
+  multiply is 43-45% of it, packing 21-22% and unpacking 16%, and the
+  rest is mostly the scan for the slot width.
 - `inverse` has two paths, chosen by the exact number of multiply-adds
   the triangular recursion over the nonzero coefficients of the divisor
   would take.  Below `NEWTON_MIN` it runs that recursion, which is cheap
@@ -36,14 +37,14 @@ Arithmetic cost:
   600 below q^600), so from `NEWTON_MIN` on the recursion solves a seed block of
   128 coefficients and Newton iteration (Brent and Kung, "Fast
   algorithms for manipulating formal power series") doubles it, with two
-  Kronecker products per doubling.  On the 116 inversions of a
-  kernel-highprec pass (2-core x86-64 VM, CPython 3.11), each timed
-  alone (best of 7), in two sweeps: 0.087-0.098 s by the recursion
-  only, 0.041-0.043 s by Newton only, and with the crossover at 5k /
-  7.5k / 10k / 15k / 20k / 30k / 40k multiply-adds 0.040 / 0.039-0.040
-  / 0.040-0.041 / 0.041-0.042 / 0.044-0.046 / 0.050-0.053 /
-  0.068-0.070 s.  `extend_inverse` resumes either path from an inverse
-  known to a lower precision.
+  Kronecker products per doubling.  On the 116 inversions of that
+  same pass at commit 1809753 (2-core x86-64 VM, CPython 3.11), each
+  timed alone (best of 7), in two sweeps: 0.087-0.098 s by the
+  recursion only, 0.041-0.043 s by Newton only, and with the crossover
+  at 5k / 7.5k / 10k / 15k / 20k / 30k / 40k multiply-adds 0.040 /
+  0.039-0.040 / 0.040-0.041 / 0.041-0.042 / 0.044-0.046 / 0.050-0.053
+  / 0.068-0.070 s.  `extend_inverse` resumes either path from an
+  inverse known to a lower precision.
 - `qpoch` memoizes (q;q)_k for every k and builds (q;q)_n from the
   highest one cached, one shift-and-subtract per factor.
 """

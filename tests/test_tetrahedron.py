@@ -5,7 +5,7 @@ import pytest
 
 from oracle import naive_min_degree, naive_tet_index, naive_tet_term, same_to_order
 from tetindex import series, tetrahedron
-from tetindex.series import equal_to_order, qpoch
+from tetindex.series import QSeries, equal_to_order, one, qpoch
 from tetindex.tetrahedron import (
     clear_caches,
     min_degree_bound,
@@ -246,12 +246,13 @@ class TestOrbit:
         assert set(tetrahedron._index_cache) == {(-4, 1)}
 
     def test_extended_rows_equal_cold_rows(self):
+        # only a sum's first body, here (0, 3), is built from rows
         clear_caches()
-        tet_index(0, 0, 40)
+        tet_index(-3, 3, 40)
         low = dict(tetrahedron._row_cache)
-        tet_index(0, 0, 160)
+        tet_index(-3, 3, 160)
         grown = [n for n in low if tetrahedron._row_cache[n].prec > low[n].prec]
-        assert grown
+        assert sorted(grown) == [0, 3]
         for n, row in tetrahedron._row_cache.items():
             assert row == qpoch(n, row.prec).inverse()
 
@@ -270,3 +271,46 @@ class TestOrbit:
             assert a <= b
             prec = body.prec
             assert body == qpoch(a, prec).inverse() * qpoch(b, prec).inverse()
+
+    def test_predecessor_below_precision_falls_back_to_rows(self):
+        # summand 3 of I(-3, 2) to q^20 caches body (3, 5) at half-exponent
+        # 4 only; summand 4 to q^80 needs (4, 6) at 110, past its
+        # predecessor, so it is built from the rows
+        clear_caches()
+        tet_index(-3, 2, 40)
+        assert tetrahedron._body_cache[(3, 5)].prec == 4
+        s = tet_term(4, -3, 2, 160)
+        body = tetrahedron._body_cache[(4, 6)]
+        assert body.prec == 110
+        assert body == qpoch(4, 110).inverse() * qpoch(6, 110).inverse()
+        assert same_to_order(naive_tet_term(4, -3, 2, 160), s, 160)
+
+    def test_shuffled_requests_share_one_cache(self):
+        # every charge of [-6, 6]^2 at three precisions, in one shuffled
+        # run over one set of caches: bodies are divided, truncated and
+        # rebuilt from rows in every order
+        clear_caches()
+        requests = [
+            (m, e, prec)
+            for m in range(-6, 7)
+            for e in range(-6, 7)
+            for prec in (8, 40, 160)
+        ]
+        random.Random(6).shuffle(requests)
+        for m, e, prec in requests:
+            s = tet_index(m, e, prec)
+            assert s.prec == prec
+            assert same_to_order(_naive(m, e, prec), s, prec)
+
+
+class TestDivide:
+    @pytest.mark.parametrize("n,prec", [(1, 2), (5, 40), (20, 30), (34, 600)])
+    def test_dividing_qpoch_by_its_factors_gives_one(self, n, prec):
+        # factors with 2k >= prec are 1 to this precision, and are
+        # divided out as such
+        out = list(qpoch(n, prec).coeffs)
+        factors = list(range(1, n + 1))
+        random.Random(n).shuffle(factors)
+        for k in factors:
+            tetrahedron._divide(out, k)
+        assert QSeries(0, tuple(out), prec) == one(prec)
