@@ -4,17 +4,17 @@ identities.
 Each check computes both sides as exact truncated series and compares
 them coefficientwise through `compare_series`, the one comparer of the
 package: it builds every `CheckReport`, names the lowest mismatch of any
-pair of sides, and refuses a precision below 1, at which a check would
-compare no coefficient and hold vacuously.  The infinite charge sums on
-the right-hand sides run over one integer e3, with charges and prefactor
-affine in e3: they are rank-1 lattice sums, built as `LatticeSumExpr`s
-and summed by the one evaluator of `lattice`, whose certificate solves
-them exactly on both sides of e3 = 0.  Their window extends to the
-farthest e3 whose term reaches below the requested precision, and only
-the terms that do are summed; the report carries its half-width.  A sum
-with infinitely many such terms raises at once, naming the side it
-diverges on, so a failed convergence assumption is a loud error instead
-of a silent truncation.
+pair of sides, and refuses a precision below 1 if no side starts below
+it, for a check would then compare no coefficient and hold vacuously.
+The infinite charge sums on the right-hand sides run over one integer
+e3, with charges and prefactor affine in e3: they are rank-1 lattice
+sums, built as `LatticeSumExpr`s and summed by the one evaluator of
+`lattice`, whose certificate solves them exactly on both sides of
+e3 = 0.  Their window extends to the farthest e3 whose term reaches
+below the requested precision, and only the terms that do are summed;
+the report carries its half-width.  A sum with infinitely many such
+terms raises at once, naming the side it diverges on, so a failed
+convergence assumption is a loud error instead of a silent truncation.
 The Bailey step window is cut the same way: `_members_window` solves
 one shifted-pentagon sum per seed point and takes the widest window.
 """
@@ -72,12 +72,12 @@ def compare_series(pairs, order: int, window: int | None = None) -> CheckReport:
     half-exponent `order`, reporting the lowest mismatch of any pair (on
     a tie the earlier pair's) and the window half-width `window`.
 
-    An order below 1 compares no coefficient, so it is refused rather
-    than reported as holding."""
-    if order < 1:
+    An order below 1 that no side of any pair starts below compares no
+    coefficient, so it is refused rather than reported as holding."""
+    if order < 1 and all(min(lhs.lead, rhs.lead) >= order for lhs, rhs in pairs):
         raise ValueError(
             f"a check to half-exponent {order} would compare no coefficient: "
-            "the precision must be at least 1"
+            "no side starts below it, and the precision must be at least 1"
         )
     first = None
     for lhs, rhs in pairs:

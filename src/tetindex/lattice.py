@@ -31,15 +31,16 @@ by POINT_BUDGET.  A divergent sum raises at once, naming a line on
 which it diverges.  The built-in `ind41` expression is the
 figure-eight-knot index sum_{k1,k2} I(k1,k2) I(k2,k1).
 
-The summed points are grouped into orbits of the sum's symmetry group,
-the signed permutations of the lattice under which the forms are
-unchanged: the prefactor as it is, and the factor list up to order and
-up to the duality I(m, e) = I(-e, -m).  The group is found from the
-forms, never from values (`_symmetry_group`).  Each orbit costs one
-index product times its size, and the products are added into one
-dense integer list (`sum_products`), the accumulator that the Bailey
-sums use as well.  ind41's group has 4 elements and the cyclic rank-3
-sum I(a,b) I(b,c) I(c,a)'s has 6.
+The search and the sum work on one fundamental domain of the sum's
+symmetry group, the signed permutations of the lattice under which the
+forms are unchanged: the prefactor as it is, and the factor list up to
+order and up to the duality I(m, e) = I(-e, -m), read from the forms,
+never from values (`_symmetry_group`).  Only the first face of each
+orbit of faces is searched (`_low_points`), and each orbit of low
+points costs one index product times its size, added into one dense
+integer list (`sum_products`), the accumulator of the Bailey sums too.
+ind41's group has 4 elements and the cyclic rank-3 sum I(a,b) I(b,c)
+I(c,a)'s has 6: each searches one face.
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ SPLIT_BUDGET = 256
 # points than this
 SPLIT_POINTS = 64
 # how many lattice points the search for one sum's low points may test:
-# ind41 tests 1,540 at half-exponent 500 and 3,618 at 1200, the rank-3
-# cyclic sum 340 at 12
+# ind41 tests 401 at half-exponent 500 and 929 at 1200, the rank-3 cyclic
+# sum 77 at 12
 POINT_BUDGET = 100_000
 
 _RESERVED = {"sum", "q", "I"}
@@ -476,18 +477,25 @@ def _low_runs(value, lines, prec: int):
     return runs
 
 
-def _faces(rank: int):
-    """The 2 * rank faces of the max-norm unit sphere as direction boxes.
+def _faces(rank: int, group=()):
+    """The 2 * rank faces of the max-norm unit sphere as direction boxes,
+    or only the first of each orbit of a `group`: (source, signs) maps
+    the face u[axis] = sign to u[j] = signs[j] * sign, source[j] = axis.
 
     A box is (axis, w, spans): every u in it has u[axis] = +-1 and
     spans[j][0] / w <= u[j] <= spans[j][1] / w, with the axis span a
     single value.  Splitting halves the other spans over a doubled w, so
     w is a power of two and every bound stays an exact integer."""
+    seen = set()
     for axis in range(rank):
         for sign in (1, -1):
-            spans = [(-1, 1)] * rank
-            spans[axis] = (sign, sign)
-            yield axis, 1, tuple(spans)
+            if (axis, sign) not in seen:
+                for source, signs in group:
+                    j = source.index(axis)
+                    seen.add((j, signs[j] * sign))
+                spans = [(-1, 1)] * rank
+                spans[axis] = (sign, sign)
+                yield axis, 1, tuple(spans)
 
 
 def _split(box):
@@ -620,23 +628,31 @@ class _Certificate:
                 )
 
 
-def _low_points(cert: _Certificate, what: str = "lattice sum"):
+def _low_points(cert: _Certificate, what: str = "lattice sum", group=()):
     """The box half-width of the sum `cert` truncates, at any rank: the
     max-norm of the farthest nonzero point whose term reaches below its
     precision, and those points mapped to their terms.
 
-    Every face is covered by direction boxes whose bounds are certified
-    (see `_Certificate`), split at most SPLIT_BUDGET times in all, and a
-    box of a single direction never.  While enumerating a box would test
-    more than SPLIT_POINTS points, it is split to tighten its radii; then
-    the points at the radii of its runs are tested, the farthest first.
-    Divergence, a split budget that runs out before every box is
-    certified, and a convergent sum whose runs hold more than
-    POINT_BUDGET points raise StabilizationError naming the sum `what`;
-    the budget is counted before a radius is tested, so no more points
-    than that are ever tested."""
+    With a `group` of signed permutations that leave the term unchanged,
+    only the faces of `_faces(rank, group)` are walked and their low
+    points returned, and every orbit of low points meets them: of an
+    orbit, take the point q whose face F(q) (by the tie rule of
+    `_box_ranges`) comes first, and the first face R of its orbit,
+    F(q) = g R.  g^-1 q lies on the closed face R, so the tie rule puts
+    it on R or an earlier face, and R = F(q).
+
+    Every face walked is covered by direction boxes whose bounds are
+    certified (see `_Certificate`), split at most SPLIT_BUDGET times in
+    all, and a box of a single direction never.  While enumerating a box
+    would test more than SPLIT_POINTS points, it is split to tighten its
+    radii; then the points at the radii of its runs are tested, the
+    farthest first.  Divergence, a split budget that runs out before
+    every box is certified, and a convergent sum whose runs hold more
+    than POINT_BUDGET points raise StabilizationError naming the sum
+    `what`; the budget is counted before a radius is tested, so no more
+    points than that are ever tested."""
     prec, budget = cert.prec, SPLIT_BUDGET
-    pending, accepted = deque(_faces(cert.expr.rank)), []
+    pending, accepted = deque(_faces(cert.expr.rank, group)), []
     while pending:
         box = pending.popleft()
         runs = cert.runs(box)
@@ -745,31 +761,40 @@ def _symmetry_group(expr: LatticeSumExpr) -> list:
     return group
 
 
-def _orbit_sum(expr: LatticeSumExpr, terms: dict, prec: int) -> QSeries:
-    """The sum of `terms`, a map from lattice points to their (charges,
-    pref_h), truncated at `prec`.
+def _face_of(point):
+    """The face (axis, sign) that `_box_ranges` puts a nonzero point on."""
+    size = [abs(c) for c in point]
+    axis = size.index(max(size))
+    return axis, 1 if point[axis] > 0 else -1
 
-    The points must be a set that the symmetry group of the sum maps
-    onto itself, as the origin with the certified low points and a cube
-    are.  Each orbit is summed once, as one `charge_product` at one of
+
+def _orbit_sum(expr: LatticeSumExpr, terms: dict, group, prec: int) -> QSeries:
+    """The sum over the orbits under `group` of `terms`, a map from lattice
+    points to their (charges, pref_h), truncated at `prec`.
+
+    The points must be the origin and the low points that `_low_points`
+    finds with `group`, or a set that the group maps onto itself, such as
+    a cube.  Each orbit is summed once, as one `charge_product` at one of
     its points times the orbit's size, by `sum_products`.  Raises
-    RuntimeError if the orbits do not cover the points exactly, which
-    would count terms outside them."""
+    RuntimeError if an image of a point lies on a face of
+    `_faces(rank, group)` but is not in `terms`: the certificate and the
+    group then disagree."""
     sign = expr.sign
-    group = _symmetry_group(expr) if len(terms) > 1 else ()
     if len(group) < 2:
         return sum_products([(*term, sign) for term in terms.values()], prec)
+    faces = {(axis, spans[axis][0]) for axis, _, spans in _faces(expr.rank, group)}
     seen, reps = set(), []
     for p, term in terms.items():
         if p not in seen:
             orbit = {_act(g, p) for g in group}
             seen |= orbit
+            for image in orbit - terms.keys():
+                if _face_of(image) in faces:
+                    raise RuntimeError(
+                        f"the image {image} of the low point {p} is on a face "
+                        f"walked, but not low"
+                    )
             reps.append((*term, sign * len(orbit)))
-    if len(seen) != len(terms):
-        raise RuntimeError(
-            f"the orbits of {len(reps)} points hold {len(seen)} points, "
-            f"not the {len(terms)} to be summed"
-        )
     return sum_products(reps, prec)
 
 
@@ -779,11 +804,11 @@ def _evaluate(expr, prec, what):
     Only the origin and the low points of `_low_points` are summed, one
     orbit of the sum's symmetry group at a time (`_orbit_sum`); every
     other term is zero to this precision."""
-    cert = _Certificate(expr, prec)
-    extent, terms = _low_points(cert, what)
+    cert, group = _Certificate(expr, prec), _symmetry_group(expr)
+    extent, terms = _low_points(cert, what, group)
     at, origin = cert.term.at, (0,) * expr.rank
     terms[origin] = at(origin)
-    return _orbit_sum(expr, terms, prec), extent
+    return _orbit_sum(expr, terms, group, prec), extent
 
 
 def eval_expr_with_box(expr: LatticeSumExpr, prec: int) -> tuple[QSeries, int]:

@@ -222,6 +222,17 @@ class TestVerify:
         with pytest.raises(ValueError, match="compare no coefficient"):
             bailey_verify(bailey_seed_delta(0, 1), (-2, 2), 0)
 
+    def test_laurent_seed_checks_below_order_one(self):
+        # beta_0 of this seed starts at q^(-2), beta_-1 at q^(-5/2): the
+        # checks to orders 0, -2 and -4 compare coefficients, to -5 none
+        state = bailey_seed(1, {0: ((-6, 1),)})
+        assert state.beta(-1, 0).lead == -5
+        for order in (0, -2, -4):
+            report = bailey_verify(state, (-1, 1), order)
+            assert report.holds and report.verified_to == order
+        with pytest.raises(ValueError, match="compare no coefficient"):
+            bailey_verify(state, (-1, 1), -5)
+
     def test_empty_m_range_rejected(self):
         # a check that compares no beta is refused, not reported as holding
         with pytest.raises(ValueError, match="range"):

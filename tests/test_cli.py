@@ -285,12 +285,15 @@ class TestExitCodes:
         assert code == 3 and "pentagon window converges" in err and "POINT_BUDGET" in err
 
     def test_unstable_box_is_three(self, capsys, monkeypatch):
-        # ind41 at H = 80 tests 282 points: past the work bound, a sum
+        # ind41 at H = 80 tests 76 points: past the work bound, a sum
         # proved convergent is not reported as one that may diverge
-        monkeypatch.setattr(lattice, "POINT_BUDGET", 100)
+        monkeypatch.setattr(lattice, "POINT_BUDGET", 75)
         code, out, err = invoke(capsys, "ind41", "--prec", "80")
         assert code == 3 and out == ""
-        assert "POINT_BUDGET = 100" in err and "may not converge" not in err
+        assert "POINT_BUDGET = 75" in err and "may not converge" not in err
+        monkeypatch.setattr(lattice, "POINT_BUDGET", 76)
+        code, out, err = invoke(capsys, "ind41", "--prec", "80")
+        assert code == 0 and err == "" and out
 
     def test_e0_without_shifted_is_two(self, capsys):
         # --e0 only enters the shifted pentagon; accepting it otherwise

@@ -178,12 +178,13 @@ class TestEval:
         assert equal_to_order(base, _cube_sum(e, extent + 4, 8), 8)
 
     def test_box_cap_errors_loudly(self, monkeypatch):
-        # the work bound: ind41 at H = 8 tests 124 points
+        # the work bound: ind41 at H = 8 tests 33 points, on the one face
+        # that stands for the four of its group's orbit
         want = ind41(8)
-        monkeypatch.setattr(lattice, "POINT_BUDGET", 123)
-        with pytest.raises(StabilizationError, match="POINT_BUDGET = 123"):
+        monkeypatch.setattr(lattice, "POINT_BUDGET", 32)
+        with pytest.raises(StabilizationError, match="POINT_BUDGET = 32"):
             ind41(8)
-        monkeypatch.setattr(lattice, "POINT_BUDGET", 124)
+        monkeypatch.setattr(lattice, "POINT_BUDGET", 33)
         assert ind41(8) == want
 
     @pytest.mark.parametrize("kwargs", [{"margin": 0}, {"margin": -2}, {"box_cap": -1}])
@@ -463,6 +464,56 @@ def _symmetric_sums(draw):
     return expr, g, draw(st.integers(0, 20))
 
 
+def _translate(expr, shift):
+    """The sum whose term at k + shift is the term of `expr` at k."""
+
+    def moved(form):
+        return AffineForm(form.coeffs, form.constant - sum(map(operator.mul, form.coeffs, shift)))
+
+    return LatticeSumExpr(
+        expr.vars, expr.sign, moved(expr.prefactor),
+        tuple((moved(a), moved(b)) for a, b in expr.factors),
+    )
+
+
+@st.composite
+def _swap_symmetric_sums(draw):
+    """Random rank-2 sums symmetric under the swap (a, b) -> (b, a): one
+    or two random factors, each with its copy of swapped slopes, and a
+    prefactor of equal slopes.  Returns the sum, a shift off the
+    diagonal, which breaks the swap, and a precision."""
+    slope, offset = st.integers(-2, 2), st.integers(-3, 3)
+
+    def charge():  # whole units, stored in half-units
+        return (2 * draw(slope), 2 * draw(slope)), 2 * draw(offset)
+
+    factors = []
+    for _ in range(draw(st.integers(1, 2))):
+        (m, mc), (e, ec) = charge(), charge()
+        factors += [
+            (AffineForm(m, mc), AffineForm(e, ec)),
+            (AffineForm(m[::-1], mc), AffineForm(e[::-1], ec)),
+        ]
+    p = draw(slope)
+    expr = LatticeSumExpr(
+        ("a", "b"), draw(st.sampled_from((1, -1))),
+        AffineForm((p, p), draw(st.integers(-4, 4))), tuple(factors),
+    )
+    shift = (draw(st.integers(-9, 9)), draw(st.integers(-9, 9)))
+    assume(shift[0] != shift[1])
+    return expr, shift, draw(st.integers(0, 12))
+
+
+# sums with groups of 2, 4, 6 and 8 elements, and the group's order
+SYMMETRIC_SUMS = [
+    (IND41_TEXT, 4),
+    ("sum a b c : I(a,b)*I(b,c)*I(c,a)", 6),
+    ("sum a b : I(a,b)*I(b,a)*I(a-b,b-a)", 2),
+    ("sum a b : q^(a+b)*I(a,b)*I(b,a)", 2),
+    ("sum a b c : I(a,b)*I(b,a)*I(c,c)*I(-c,-c)", 8),
+]
+
+
 class TestSymmetry:
     """The symmetry group of a sum, read from its forms, and the sum over
     its orbits."""
@@ -526,11 +577,21 @@ class TestSymmetry:
             )
 
     def test_orbits_must_cover_the_points(self):
-        # (1, 0) without the rest of its orbit would be counted four times
-        expr = parse_expr(IND41_TEXT)
-        at = _Term(expr).at
-        with pytest.raises(RuntimeError, match="orbits"):
-            _orbit_sum(expr, {p: at(p) for p in [(0, 0), (1, 0)]}, 10)
+        # the group swaps a and b and negates c; the faces walked are +a
+        # and +c, and the swap maps the face +c onto itself, so (1, 0, 2)
+        # low without its image (0, 1, 2) on the same face is a point that
+        # the certificate and the group disagree on
+        expr = parse_expr("sum a b c : I(a,b)*I(b,a)*I(c,c)*I(-c,-c)")
+        group, at = _symmetry_group(expr), _Term(expr).at
+        assert len(group) == 8
+        faces = [(axis, spans[axis][0]) for axis, _, spans in _faces(3, group)]
+        assert faces == [(0, 1), (2, 1)]
+        with pytest.raises(RuntimeError, match=r"image \(0, 1, 2\)"):
+            _orbit_sum(expr, {p: at(p) for p in [(0, 0, 0), (1, 0, 2)]}, group, 10)
+        # (1, 0, 0)'s images lie on faces not walked: it stands for all four
+        terms = {p: at(p) for p in [(0, 0, 0), (1, 0, 0)]}
+        cube = {p: at(p) for p in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]}
+        assert _orbit_sum(expr, terms, group, 10) == _orbit_sum(expr, cube, (), 10)
 
     @settings(max_examples=80, deadline=None)
     @given(_symmetric_sums())
@@ -545,7 +606,79 @@ class TestSymmetry:
         plain = zero(prec)
         for p in cube:
             plain = plain + charge_product(*at(p), expr.sign, prec)
-        assert _orbit_sum(expr, {p: at(p) for p in cube}, prec) == plain
+        assert _orbit_sum(expr, {p: at(p) for p in cube}, group, prec) == plain
+
+    @pytest.mark.parametrize("prec", [4, 8, 12])
+    @pytest.mark.parametrize("text, order", SYMMETRIC_SUMS)
+    def test_face_orbits_close_to_the_low_set(self, text, order, prec):
+        # every low point lies within radius 11 at these precisions
+        expr = parse_expr(text)
+        group = _symmetry_group(expr)
+        assert len(group) == order
+        extent, points = _low_points(_Certificate(expr, prec), group=group)
+        walked = {(axis, spans[axis][0]) for axis, _, spans in _faces(expr.rank, group)}
+        assert len(walked) < 2 * expr.rank
+        assert {lattice._face_of(p) for p in points} <= walked
+        closure = sorted({_act(g, p) for p in points for g in group})
+        assert closure == _brute_low_points(expr, prec, 14)
+        assert extent == max((max(map(abs, p)) for p in closure), default=0)
+        s, box = eval_expr_with_box(expr, prec)
+        assert box == extent and s == _cube_sum(expr, box, prec)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_symmetric_sums())
+    def test_face_orbits_close_to_the_walk_of_every_face(self, case):
+        expr, _, prec = case
+        group = _symmetry_group(expr)
+        try:
+            extent, points = _low_points(_Certificate(expr, prec))
+        except StabilizationError:
+            return
+        # the faces walked are some of every face, so their walk succeeds
+        part_extent, part = _low_points(_Certificate(expr, prec), group=group)
+        assert part.keys() <= points.keys() and part_extent == extent
+        assert {_act(g, p) for p in part for g in group} == points.keys()
+
+    @settings(max_examples=40, deadline=None)
+    @given(_swap_symmetric_sums())
+    @example((parse_expr(IND41_TEXT), (7, -3), 80))
+    @example((parse_expr(SYMMETRIC_SUMS[1][0]), (5, 0, 0), 8))
+    @example((parse_expr(SYMMETRIC_SUMS[2][0]), (2, -1), 12))
+    @example((parse_expr(SYMMETRIC_SUMS[3][0]), (4, 1), 12))
+    @example((parse_expr(SYMMETRIC_SUMS[4][0]), (3, 0, 1), 12))
+    def test_symmetric_sum_is_its_asymmetric_translate(self, case):
+        # the translate has the same terms and no symmetry, so it is
+        # walked on every face and summed point by point
+        expr, shift, prec = case
+        moved = _translate(expr, shift)
+        assume(len(_symmetry_group(moved)) == 1)
+        try:
+            want = eval_expr_with_box(expr, prec)[0]
+        except StabilizationError as exc:
+            if "diverges" in str(exc):
+                with pytest.raises(StabilizationError):
+                    eval_expr_with_box(moved, prec)
+            return
+        try:
+            got = eval_expr_with_box(moved, prec)[0]
+        except StabilizationError as exc:
+            # the split budget ran out on the translate's faces
+            assert "could not certify" in str(exc)
+            return
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "text, prec, radius", [(SYMMETRIC_SUMS[3][0], 8, 3), (SYMMETRIC_SUMS[4][0], 8, 2)]
+    )
+    def test_symmetric_sums_against_the_oracle(self, text, prec, radius):
+        # the oracle sums the whole cube of the box's radius
+        expr = parse_expr(text)
+        got, box = eval_expr_with_box(expr, prec)
+        assert box == radius
+        want = naive_lattice_sum(
+            lambda k: (1, expr.prefactor(k), _charges(expr, k)), expr.rank, radius, prec
+        )
+        assert same_to_order(want, got, prec)
 
     def test_ind41_against_the_oracle(self):
         # every low point of ind41 at H = 12 lies within radius 6
