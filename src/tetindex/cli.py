@@ -10,8 +10,9 @@ than the work bound `lattice.POINT_BUDGET`.  A usage
 error after a known command is reported by that command's parser
 ("tetindex bailey: error: ..."); a missing or unknown command, or an
 option before it, by the top-level parser ("tetindex: error: ...").
-The identity checks (triality, pentagon, bailey) need --prec of at
-least 1: below that they would compare no coefficient.
+Every command needs --prec of at least 0.  An identity check whose
+sides all start at or above --prec compares no coefficient and exits 2
+(`identities.compare_series`).
 
 An argv of a command's full flag names with well-formed values is read
 straight from the option table `_COMMANDS`; every other argv goes to
@@ -145,8 +146,6 @@ _COMMANDS = {
     "eval": ("evaluate an expression file", {**_COMMON, "--file": {"required": True}}),
     "ind41": ("figure-eight-knot index", _COMMON),
 }
-# the identity checks: below --prec 1 they would compare no coefficient
-_CHECKS = ("triality", "pentagon", "bailey")
 
 
 def _dest(flag: str) -> str:
@@ -257,10 +256,8 @@ def run(argv) -> int:
             args = _top_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    # a precision that would make a check vacuous
-    lo = 1 if args.command in _CHECKS else 0
-    if args.prec < lo:
-        print(f"error: --prec must be at least {lo}", file=sys.stderr)
+    if args.prec < 0:
+        print("error: --prec must be at least 0", file=sys.stderr)
         return EXIT_USAGE
     if args.command == "pentagon" and args.e0 is not None and not args.shifted:
         print("error: --e0 applies only with --shifted", file=sys.stderr)

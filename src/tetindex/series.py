@@ -22,29 +22,24 @@ Arithmetic cost:
   a slot is copied for all slots at once as one strided slice.  Reading
   back, the slots are widened the same way to 64-bit words, the bytes
   above a slot filled with its sign by one `bytes.translate`, and
-  `array.tolist` makes the ints.  On the 929 products of a
-  kernel-highprec pass at commit 1809753, which built every body from
-  rows (2-core x86-64 VM, CPython 3.11), each timed alone (best of 7),
-  `_kronecker` takes 0.082-0.097 s in two runs; the big-integer
-  multiply is 43-45% of it, packing 21-22% and unpacking 16%, and the
-  rest is mostly the scan for the slot width.
-- `inverse` has two paths, chosen by the exact number of multiply-adds
-  the triangular recursion over the nonzero coefficients of the divisor
-  would take.  Below `NEWTON_MIN` it runs that recursion, which is cheap
-  for a sparse divisor: by Euler's pentagonal theorem (q;q)_inf has
-  O(sqrt(H)) nonzero coefficients below q^H.  But (q;q)_n is dense
-  below q^(n(n+1)/2) ((q;q)_34 has 492 nonzero coefficients among its
-  600 below q^600), so from `NEWTON_MIN` on the recursion solves a seed block of
-  128 coefficients and Newton iteration (Brent and Kung, "Fast
-  algorithms for manipulating formal power series") doubles it, with two
-  Kronecker products per doubling.  On the 116 inversions of that
-  same pass at commit 1809753 (2-core x86-64 VM, CPython 3.11), each
-  timed alone (best of 7), in two sweeps: 0.087-0.098 s by the
-  recursion only, 0.041-0.043 s by Newton only, and with the crossover
-  at 5k / 7.5k / 10k / 15k / 20k / 30k / 40k multiply-adds 0.040 /
-  0.039-0.040 / 0.040-0.041 / 0.041-0.042 / 0.044-0.046 / 0.050-0.053
-  / 0.068-0.070 s.  `extend_inverse` resumes either path from an
-  inverse known to a lower precision.
+  `array.tolist` makes the ints.
+- `inverse` solves the triangular recursion over the nonzero
+  coefficients of the divisor a: coefficient k of 1/a is -a_0 times the
+  sum of a_j (1/a)_(k-j) over the nonzero a_j with 0 < j <= k.  With
+  every exponent of a a multiple of their gcd `step`, only every
+  step-th coefficient is solved, so 1/a to half-exponent H costs at
+  most (nonzero coefficients of a) * H / step multiply-adds.  That is
+  cheap for a sparse divisor: by Euler's pentagonal theorem (q;q)_inf
+  has O(sqrt(H)) nonzero coefficients below q^H.  (q;q)_n is a
+  polynomial of degree n(n+1)/2 with most coefficients nonzero, so a
+  long row of large n costs more: I(-30, 30) to half-exponent 2400
+  inverts 1/(q;q)_30 to 1500 in 191,760 multiply-adds, 0.015-0.016 s
+  on a 2-core x86-64 VM with CPython 3.11.7.  The kernel inverts
+  rows only for the first body of a sum (see `tetrahedron`); over every
+  job of the benchmark workloads, from cold caches, the costliest
+  inversion takes 1,065 multiply-adds on kernel-highprec, 430 on
+  verify-sweep and 180 on knot-lattice.  `extend_inverse` resumes the
+  recursion from an inverse known to a lower precision.
 - `qpoch` memoizes (q;q)_k for every k and builds (q;q)_n from the
   highest one cached, one shift-and-subtract per factor.
 """
@@ -75,10 +70,6 @@ __all__ = [
 # products whose operands both have at least this many coefficients go
 # through one big-integer multiplication (Kronecker substitution)
 KRONECKER_MIN = 32
-# an inverse whose triangular recursion would take at least this many
-# multiply-adds is lifted by Newton iteration instead; the sweep behind
-# the value is in the module docstring
-NEWTON_MIN = 10_000
 
 
 @dataclass(frozen=True)
@@ -209,10 +200,9 @@ class QSeries:
 
 
 def _solve_inverse(a: QSeries, known: QSeries | None) -> QSeries:
-    """1/a, starting past the coefficients of `known` (1/a to a lower
-    precision) if given: by the triangular recursion over the nonzero
-    coefficients of a, or by Newton lifting once that recursion would
-    cost `NEWTON_MIN` multiply-adds or more."""
+    """1/a by the triangular recursion over the nonzero coefficients of
+    a, starting past the coefficients of `known` (1/a to a lower
+    precision) if given."""
     if not a.coeffs or a.lead != 0:
         raise ValueError("inverse requires a series with lead 0")
     a0 = a.coeffs[0]
@@ -227,33 +217,19 @@ def _solve_inverse(a: QSeries, known: QSeries | None) -> QSeries:
     # every exponent of the inverse; the others stay zero
     step = gcd(*(j for j, _ in terms)) or n
     out = [0] * n
-    out[0], start, exact = a0, step, 1
+    out[0], start = a0, step
     if known is not None:
         if not known.coeffs or known.lead != 0 or known.prec > n:
             raise ValueError("a resumed inverse must start at lead 0 below prec")
         out[: known.prec] = known.coeffs
         start = -(-known.prec // step) * step
-        exact = known.prec
-    # the recursion's multiply-adds: term j enters every solved k >= j
-    ops = sum(-(-(n - max(start, j)) // step) for j, _ in terms)
-    # past NEWTON_MIN the recursion solves only a seed block of 128
-    # coefficients, none if `known` reaches past it, and Newton the rest
-    exact = n if ops < NEWTON_MIN else min(n, max(exact, 128))
-    for k in range(start, exact, step):
+    for k in range(start, n, step):
         acc = 0
         for j, aj in terms:
             if j > k:
                 break
             acc += aj * out[k - j]
         out[k] = -a0 * acc
-    # Newton: with g = 1/a to q^p, a g - 1 = q^p r and 1/a = g - q^p g r
-    # to q^(2p); the residual r is taken from one product and g r from a
-    # second, both to the new precision only
-    while exact < n:
-        top = min(2 * exact, n)
-        residual = _kronecker(a.coeffs[:top], out[:top])[exact:]
-        out[exact:top] = map(neg, _kronecker(out[: top - exact], residual))
-        exact = top
     return _from_array(0, out, n)
 
 

@@ -178,8 +178,8 @@ class TestExitCodes:
         assert code == 2
 
     def test_negative_precision_is_two(self, capsys):
-        code, _, err = invoke(capsys, "tet", "-m", "0", "-e", "0", "--prec", "-1")
-        assert code == 2 and "prec" in err
+        code, out, err = invoke(capsys, "tet", "-m", "0", "-e", "0", "--prec", "-1")
+        assert (code, out, err) == (2, "", "error: --prec must be at least 0\n")
 
     def test_unknown_command_is_two(self, capsys):
         code, out, err = invoke(capsys, "frobnicate", "--prec", "8")
@@ -194,10 +194,23 @@ class TestExitCodes:
         ],
     )
     def test_check_below_precision_one_is_two(self, capsys, argv):
-        # at --prec 0 a check compares no coefficient and proves nothing
+        # at --prec 0 these checks compare no coefficient and prove
+        # nothing; the comparer refuses them, as it does in the library
         code, out, err = invoke(capsys, *argv, "--prec", "0")
         assert code == 2 and out == ""
-        assert err == "error: --prec must be at least 1\n"
+        assert err == (
+            "error: a check to half-exponent 0 would compare no coefficient: "
+            "no side starts below it, and the precision must be at least 1\n"
+        )
+
+    def test_shifted_check_starting_below_zero_is_compared_at_zero(self, capsys):
+        # this left side is -q^(-1) + O(1), so --prec 0 still compares
+        # coefficients, as pentagon_shifted_check does
+        argv = ("pentagon", "--shifted", "--m1", "1", "--m2", "-1", "--e1", "0",
+                "--e2", "1", "--e0", "1")
+        assert identities.pentagon_shifted_lhs(1, -1, 0, 1, 1, 0).lead < 0
+        code, out, err = invoke(capsys, *argv, "--prec", "0")
+        assert (code, out, err) == (0, "holds to order 1\n", "")
 
     @pytest.mark.parametrize(
         "argv", [("tet", "-m", "1", "-e", "0"), ("ind41",)]

@@ -1,7 +1,6 @@
 import functools
 import itertools
 import random
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +20,6 @@ from tetindex import series as series_module
 from tetindex.errors import PrecisionError
 from tetindex.series import (
     KRONECKER_MIN,
-    NEWTON_MIN,
     QSeries,
     equal_to_order,
     monomial,
@@ -346,15 +344,6 @@ class TestInverse:
             qpoch(3, 10).extend_inverse(zero(0))
 
 
-def recursion_ops(a):
-    """The multiply-adds the triangular recursion spends on 1/a, counted
-    loop by loop: every solved k (a multiple of the gcd of the divisor's
-    exponents) takes one per nonzero a_j with 0 < j <= k."""
-    js = [j for j, c in enumerate(a.coeffs) if j and c]
-    step = gcd(*js) or a.prec
-    return sum(j <= k for k in range(step, a.prec, step) for j in js)
-
-
 def dense_unit(rng, n, a0, stride):
     """A lead-0 series of n coefficients, constant term a0, with a
     nonzero coefficient of at most 3 in absolute value at every multiple
@@ -371,15 +360,15 @@ def _dense_600(a0):
     """A dense unit series of 600 coefficients and its inverse, checked
     against the oracle."""
     a = dense_unit(random.Random(600 + a0), 600, a0, 1)
-    assert recursion_ops(a) >= NEWTON_MIN
     cold = a.inverse()
     assert same_to_order(dict_inv(series_to_dict(a), 600), cold, 600)
     return a, cold
 
 
 class TestDenseInverse:
-    """Divisors whose recursion would cost at least NEWTON_MIN
-    multiply-adds, which are inverted by Newton lifting."""
+    """Divisors with a nonzero coefficient at every multiple of their
+    stride, the costliest input of the triangular recursion: each
+    solved coefficient takes a multiply-add per lower one."""
 
     @pytest.mark.parametrize("a0", [1, -1])
     @pytest.mark.parametrize("stride", [1, 2, 3])
@@ -388,40 +377,33 @@ class TestDenseInverse:
         # stride 3 has a ninth of the work of stride 1 at equal length
         for n in (rng.randint(300 if stride < 3 else 450, 800) for _ in range(2)):
             a = dense_unit(rng, n, a0, stride)
-            assert recursion_ops(a) >= NEWTON_MIN
             assert same_to_order(dict_inv(series_to_dict(a), n), a.inverse(), n)
-
-    def test_dense_path_is_taken_only_above_the_crossover(self, monkeypatch):
-        products = []
-        kronecker = series_module._kronecker
-
-        def counted(x, y):
-            products.append(len(x))
-            return kronecker(x, y)
-
-        monkeypatch.setattr(series_module, "_kronecker", counted)
-        sparse = qpoch(5, 300)
-        assert recursion_ops(sparse) < NEWTON_MIN
-        sparse.inverse()
-        assert products == []
-        dense = qpoch(20, 600)
-        assert recursion_ops(dense) >= NEWTON_MIN
-        dense.inverse()
-        # two products per doubling from the 128-coefficient seed block
-        assert products == [256, 128, 512, 256, 600, 88]
 
     @pytest.mark.parametrize("a0", [1, -1])
     @pytest.mark.parametrize("cut", [1, 37, 127, 128, 129, 256, 301, 512, 599])
     def test_extended_dense_inverse_equals_cold_inverse(self, a0, cut):
-        # cuts at the first coefficient, odd ones, both sides of the seed
-        # block's edge, the doubling boundaries 256 and 512 and n - 1
+        # cuts at the first coefficient, odd and even ones and n - 1
         a, cold = _dense_600(a0)
         assert a.extend_inverse(a.truncated(cut).inverse()) == cold
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from((1, -1)),
+        st.integers(1, 3),
+        st.integers(2, 240),
+        st.randoms(use_true_random=False),
+        st.data(),
+    )
+    def test_resumed_dense_inverse_equals_cold_and_oracle(self, a0, stride, n, rng, data):
+        a = dense_unit(rng, n, a0, stride)
+        cut = data.draw(st.integers(1, n), label="cut")
+        cold = a.inverse()
+        assert a.extend_inverse(a.truncated(cut).inverse()) == cold
+        assert same_to_order(dict_inv(series_to_dict(a), n), cold, n)
 
     @pytest.mark.parametrize("n", [10, 20, 34])
     def test_dense_pochhammer_round_trip(self, n):
         p = qpoch(n, 1200)
-        assert recursion_ops(p) >= NEWTON_MIN
         assert p * p.inverse() == one(1200)
 
 

@@ -75,7 +75,9 @@ class TestIndex:
 
 
 class TestHighPrecision:
-    """Rows long and dense enough to be inverted by Newton lifting."""
+    """Indices at high precision: I(0, 0) at 1200, whose bodies are
+    divided from their predecessors, and a ladder whose rows resume
+    their inversion from the step before."""
 
     def test_origin_at_1200(self):
         clear_caches()
