@@ -31,17 +31,18 @@ Arithmetic cost:
   most (nonzero coefficients of a) * H / step multiply-adds.  That is
   cheap for a sparse divisor: by Euler's pentagonal theorem (q;q)_inf
   has O(sqrt(H)) nonzero coefficients below q^H.  (q;q)_n is a
-  polynomial of degree n(n+1)/2 with most coefficients nonzero, so a
-  long row of large n costs more: I(-30, 30) to half-exponent 2400
-  inverts 1/(q;q)_30 to 1500 in 191,760 multiply-adds, 0.015-0.016 s
+  polynomial of degree n(n+1)/2 with most coefficients nonzero, so its
+  inverse costs more for large n: I(-30, 30) to half-exponent 2400
+  inverts (q;q)_30 to 1500 in 191,760 multiply-adds, 0.015-0.016 s
   on a 2-core x86-64 VM with CPython 3.11.7.  The kernel inverts
-  rows only for the first body of a sum (see `tetrahedron`); over every
-  job of the benchmark workloads, from cold caches, the costliest
-  inversion takes 1,065 multiply-adds on kernel-highprec, 430 on
-  verify-sweep and 180 on knot-lattice.  `extend_inverse` resumes the
-  recursion from an inverse known to a lower precision.
-- `qpoch` memoizes (q;q)_k for every k and builds (q;q)_n from the
-  highest one cached, one shift-and-subtract per factor.
+  (q;q)_a (q;q)_b only for a summand body that it cannot divide from
+  its predecessor (see `tetrahedron`); over every job of the benchmark
+  workloads, from cold caches, the costliest inversion takes 1,065
+  multiply-adds on kernel-highprec, 722 on verify-sweep and 180 on
+  knot-lattice.  `extend_inverse` resumes the recursion from an
+  inverse known to a lower precision.
+- `qpoch` builds (q;q)_n from 1, one shift-and-subtract per factor,
+  and keeps nothing between calls.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import repeat
 from math import gcd
-from operator import add, and_, lshift, neg, rshift
+from operator import add, and_, lshift, neg, rshift, sub
 
 from .errors import PrecisionError
 
@@ -409,31 +410,20 @@ def equal_to_order(a: QSeries, b: QSeries, order: int) -> bool:
     return True
 
 
-_qpoch_cache: dict[int, QSeries] = {}
-
-
 def qpoch(n: int, prec: int) -> QSeries:
     """The finite product (q;q)_n = prod_{k=1}^{n} (1 - q^k), truncated.
 
-    Always has constant term 1 and integer coefficients.  (q;q)_k is
-    memoized for every k at the highest precision built so far, and
-    (q;q)_n is built from the highest cached (q;q)_k, one factor at a time.
+    Always has constant term 1 and integer coefficients.
     """
     if n < 0:
         raise ValueError("qpoch requires n >= 0")
     if prec <= 0:
         return zero(prec)
+    out = [1] + [0] * (prec - 1)
     # a factor (1 - q^k) with 2k >= prec is 1 to this precision
-    n = min(n, (prec - 1) // 2)
-    done = n
-    while done > 0 and (done not in _qpoch_cache or _qpoch_cache[done].prec < prec):
-        done -= 1
-    s = _qpoch_cache[done].truncated(prec) if done else one(prec)
-    out = list(s.coeffs)
-    for k in range(done + 1, n + 1):
-        # multiply by (1 - q^k): shift by 2k half-units and subtract
-        shift = 2 * k
-        out[shift:] = [x - y for x, y in zip(out[shift:], out)]
-        s = QSeries(0, tuple(out), prec)
-        _qpoch_cache[k] = s
-    return s
+    for k in range(1, min(n, (prec - 1) // 2) + 1):
+        # multiply by (1 - q^k): shift by 2k half-units and subtract, up
+        # to the degree k(k+1) of the product so far
+        top = min(prec, k * (k + 1) + 1)
+        out[2 * k : top] = map(sub, out[2 * k : top], out)
+    return QSeries(0, tuple(out), prec)

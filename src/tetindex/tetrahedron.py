@@ -9,8 +9,8 @@ so the half-integer exponents that occur for odd e stay exact.
 Each charge is computed from a member of its symmetry orbit whose sum
 has no cancellation.  For m > 0 the summand leads
 n(n+1) - (2n+e)m dip to about -m^2 and the sum only reaches its degree
-after cancelling far below it, so the rows would be inverted well past
-the requested precision.  Duality I(m,e) = I(-e,-m) composed with a
+after cancelling far below it, so the bodies would be inverted well
+past the requested precision.  Duality I(m,e) = I(-e,-m) composed with a
 triality rotation (Dimofte-Gaiotto-Gukov, "3-manifolds and 3d indices")
 gives I(m,e) = (-1)^m q^(m/2) I(-m, e+m).  For m <= 0 the leads rise
 strictly from the first summand, whose lead is the exact degree, and
@@ -32,11 +32,11 @@ body(a, b) = body(a-1, b-1) / ((1 - q^a)(1 - q^b)) (Andrews, "The
 Theory of Partitions", ch. 1), and dividing by (1 - q^k) is one running
 sum along each residue class mod 2k half-units.  A sum asks for its
 bodies in order of n at falling precision, so each body after its first
-is divided from its predecessor; any other body is one product of two
-rows 1/(q;q)_n, which every charge pair shares and which resume their
-inversion when asked for at a higher precision.  ind41 at half-exponent
-500 sums 3,795 summands over 253 bodies, and tet_index(0, 0, 2400)
-takes 0.011-0.015 s from cold caches, 0.22-0.29 s by row products.
+is divided from its predecessor.  Any other body inverts
+(q;q)_a (q;q)_b, and resumes that inversion from its own cached
+coefficients when it is asked for at a higher precision.  ind41 at
+half-exponent 500 sums 3,795 summands over 253 bodies, and
+tet_index(0, 0, 2400) takes 0.011-0.015 s from cold caches.
 The minimal degree of I(m, e), which drives every downstream truncation
 bound, is exact and in closed form (Garoufalidis, "The 3D index of an
 ideal triangulation and angle structures"); no series is evaluated to
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from . import series
 from .series import QSeries, qpoch, zero
 
 __all__ = [
@@ -61,9 +60,6 @@ __all__ = [
 ]
 
 _index_cache: dict[tuple[int, int], QSeries] = {}
-# n -> 1/(q;q)_n at the highest precision requested so far, shared by
-# every charge pair
-_row_cache: dict[int, QSeries] = {}
 # (a, b), a <= b -> 1/((q;q)_a (q;q)_b) at the highest precision
 # requested so far, shared by summand n of every I(m, e) with
 # {n, n + e} = {a, b}
@@ -71,22 +67,10 @@ _body_cache: dict[tuple[int, int], QSeries] = {}
 
 
 def clear_caches() -> None:
-    """Drop every kernel memo: indices, summand bodies
-    1/((q;q)_a (q;q)_b), rows 1/(q;q)_n and (q;q)_n."""
+    """Drop every kernel memo: indices and summand bodies
+    1/((q;q)_a (q;q)_b)."""
     _index_cache.clear()
     _body_cache.clear()
-    _row_cache.clear()
-    series._qpoch_cache.clear()
-
-
-def _row(n: int, prec: int) -> QSeries:
-    """1/(q;q)_n truncated at half-exponent `prec`."""
-    cached = _row_cache.get(n)
-    if cached is None:
-        cached = _row_cache[n] = qpoch(n, prec).inverse()
-    elif cached.prec < prec:
-        cached = _row_cache[n] = qpoch(n, prec).extend_inverse(cached)
-    return cached.truncated(prec)
 
 
 def _divide(out: list[int], k: int) -> None:
@@ -111,9 +95,12 @@ def _body(a: int, b: int, prec: int) -> QSeries:
             _divide(out, b)
             cached = _body_cache[key] = QSeries(0, tuple(out), prec)
         else:
-            row = _row(a, prec)
-            # at a == b both rows are one object, and the product is a square
-            cached = _body_cache[key] = row * (row if a == b else _row(b, prec))
+            # inverted cold, or resumed from the body's own coefficients
+            # when it is cached at a lower precision
+            poch = qpoch(a, prec) * qpoch(b, prec)
+            cached = _body_cache[key] = (
+                poch.inverse() if cached is None else poch.extend_inverse(cached)
+            )
     return cached.truncated(prec)
 
 

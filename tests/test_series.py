@@ -27,7 +27,6 @@ from tetindex.series import (
     qpoch,
     zero,
 )
-from tetindex.tetrahedron import clear_caches
 
 
 def assert_canonical(s):
@@ -449,7 +448,8 @@ class TestQPoch:
         assert qpoch(5000, 20) == qpoch(10, 20)
 
     def test_incremental_build_in_any_order(self):
-        clear_caches()
+        # each (q;q)_n is built from 1, one factor at a time, whatever
+        # was asked for before
         calls = [(n, prec) for n in range(41) for prec in (31, 90)]
         random.Random(4).shuffle(calls)
         for n, prec in calls:

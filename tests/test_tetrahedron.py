@@ -55,9 +55,9 @@ class TestIndex:
         assert str(tet_index(0, 3000, 10)) == "1 + O(q^5)"
 
     def test_shared_rows_read_below_build_precision(self):
-        # long rows (the Kronecker product path) built at H=160, in a
+        # long bodies (the Kronecker product path) built at H=160, in a
         # shuffled charge order, then read truncated at H=40 with the
-        # index cache emptied but the rows kept
+        # index cache emptied but the bodies kept
         clear_caches()
         grid = [(m, e) for m in range(-3, 4) for e in range(-3, 4)]
         random.Random(160).shuffle(grid)
@@ -76,15 +76,15 @@ class TestIndex:
 
 class TestHighPrecision:
     """Indices at high precision: I(0, 0) at 1200, whose bodies are
-    divided from their predecessors, and a ladder whose rows resume
-    their inversion from the step before."""
+    divided from their predecessors, and a ladder whose first body
+    resumes its inversion from the step before."""
 
     def test_origin_at_1200(self):
         clear_caches()
         assert same_to_order(naive_tet_index(0, 0, 1200), tet_index(0, 0, 1200), 1200)
 
     def test_resumed_ladder(self):
-        # each step resumes the rows of the step before
+        # each step resumes the first body of the step before
         clear_caches()
         for prec in (200, 400, 800):
             s = tet_index(1, 5, prec)
@@ -132,15 +132,22 @@ class TestMinDegree:
 
 class TestCacheConsistency:
     def test_clear_caches_drops_every_kernel_memo(self):
+        # the index and body caches are the only module-level memos of
+        # the kernel and the series ring
+        def memos(module):
+            return {
+                name
+                for name, value in vars(module).items()
+                if isinstance(value, dict) and not name.startswith("__")
+            }
+
         tet_index(2, 3, 30)
-        assert tetrahedron._index_cache and tetrahedron._row_cache
-        assert tetrahedron._body_cache
-        assert series._qpoch_cache
+        assert memos(tetrahedron) == {"_index_cache", "_body_cache"}
+        assert memos(series) == set()
+        assert tetrahedron._index_cache and tetrahedron._body_cache
         clear_caches()
         assert not tetrahedron._index_cache
         assert not tetrahedron._body_cache
-        assert not tetrahedron._row_cache
-        assert not series._qpoch_cache
 
     def test_mirrored_summands_share_one_body(self):
         # summand n of I(m, e) and summand n + e of I(m', -e) both divide
@@ -247,16 +254,25 @@ class TestOrbit:
         tet_index(-1, 4, 20)
         assert set(tetrahedron._index_cache) == {(-4, 1)}
 
-    def test_extended_rows_equal_cold_rows(self):
-        # only a sum's first body, here (0, 3), is built from rows
+    def test_regrown_first_body_resumes_its_inverse(self, monkeypatch):
+        # only a sum's first body, here (0, 3), is inverted; asked for at
+        # a higher precision it resumes from its own cached coefficients
         clear_caches()
         tet_index(-3, 3, 40)
-        low = dict(tetrahedron._row_cache)
+        low = tetrahedron._body_cache[(0, 3)]
+        resumed = []
+        extend = QSeries.extend_inverse
+
+        def spy(self, known):
+            resumed.append(known)
+            return extend(self, known)
+
+        monkeypatch.setattr(QSeries, "extend_inverse", spy)
         tet_index(-3, 3, 160)
-        grown = [n for n in low if tetrahedron._row_cache[n].prec > low[n].prec]
-        assert sorted(grown) == [0, 3]
-        for n, row in tetrahedron._row_cache.items():
-            assert row == qpoch(n, row.prec).inverse()
+        assert len(resumed) == 1 and resumed[0] is low
+        body = tetrahedron._body_cache[(0, 3)]
+        assert body.prec > low.prec
+        assert body == qpoch(3, body.prec).inverse()
 
     def test_regrown_bodies_equal_cold_bodies(self):
         clear_caches()
@@ -274,10 +290,10 @@ class TestOrbit:
             prec = body.prec
             assert body == qpoch(a, prec).inverse() * qpoch(b, prec).inverse()
 
-    def test_predecessor_below_precision_falls_back_to_rows(self):
+    def test_predecessor_below_precision_falls_back_to_inversion(self):
         # summand 3 of I(-3, 2) to q^20 caches body (3, 5) at half-exponent
         # 4 only; summand 4 to q^80 needs (4, 6) at 110, past its
-        # predecessor, so it is built from the rows
+        # predecessor, so (q;q)_4 (q;q)_6 is inverted
         clear_caches()
         tet_index(-3, 2, 40)
         assert tetrahedron._body_cache[(3, 5)].prec == 4
@@ -289,8 +305,8 @@ class TestOrbit:
 
     def test_shuffled_requests_share_one_cache(self):
         # every charge of [-6, 6]^2 at three precisions, in one shuffled
-        # run over one set of caches: bodies are divided, truncated and
-        # rebuilt from rows in every order
+        # run over one set of caches: bodies are divided, truncated,
+        # inverted and resumed in every order
         clear_caches()
         requests = [
             (m, e, prec)
