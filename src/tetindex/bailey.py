@@ -4,8 +4,9 @@ A state holds a finite-support family alpha (seed values are exact
 Laurent polynomials in q^(1/2)) together with the integer parameter t
 and the history of applied step parameters.  beta is never materialized:
 it is defined by the pair relation at depth 0 and by the step transform
-at each deeper level, and is computed lazily with memoization per
-(depth, charge, precision).
+at each deeper level, and is computed lazily into one memo per seed,
+keyed by (history prefix, charge) and shared by every state stepped
+from that seed, so a chain computes each level once.
 
 The step transform multiplies alpha_n pointwise by
     (-1)^n q^(-n/2) I(3t - s + n, 2s - t - n)
@@ -52,7 +53,7 @@ __all__ = [
 class BaileyState:
     """Immutable snapshot of a Bailey pair at parameter t0 + sum(history)."""
 
-    def __init__(self, t0, seed, history=()):
+    def __init__(self, t0, seed, history=(), memo=None):
         # seed: mapping n -> Laurent polynomial ((half_exp, coeff), ...)
         self.t0 = t0
         self.seed = {
@@ -61,9 +62,16 @@ class BaileyState:
             if any(c for _, c in poly)
         }
         self.history = tuple(history)
-        self._beta_cache: dict[tuple[int, int], QSeries] = {}
-        self._beta_lb: dict[tuple[int, int], float] = {}
-        self.window_extents: dict[tuple[int, int], int] = {}
+        # beta, its degree bound and the step window per (history prefix,
+        # m), shared by every state stepped from this one's seed
+        self._beta_cache, self._beta_lb, self._windows = memo or ({}, {}, {})
+
+    @property
+    def window_extents(self) -> dict[tuple[int, int], int]:
+        """The step windows summed so far on this state's history, per
+        (depth, m)."""
+        h = self.history
+        return {(len(p), m): w for (p, m), w in self._windows.items() if h[: len(p)] == p}
 
     @property
     def t(self) -> int:
@@ -123,7 +131,7 @@ class BaileyState:
         return self._beta(self.depth, k, prec)
 
     def _beta(self, depth: int, m: int, prec: int) -> QSeries:
-        key = (depth, m)
+        key = (self.history[:depth], m)
         cached = self._beta_cache.get(key)
         if cached is not None and cached.prec >= prec:
             return cached.truncated(prec)
@@ -165,7 +173,7 @@ class BaileyState:
         (-1)^m q^((2k-m)/2) I(ch1) I(ch2) times beta_{depth-1}(k): the
         product to `prec` less beta's degree bound, beta to `prec` less
         the product's degree."""
-        extent = self.window_extents[(depth, m)] = _members_window(
+        extent = self._windows[(self.history[:depth], m)] = _members_window(
             self._window_members(depth, m), prec, "Bailey step window"
         )
         sign = -1 if m % 2 else 1
@@ -183,7 +191,7 @@ class BaileyState:
         """Lower bound for beta's minimal degree, the least degree of the
         terms of its kernel sum (infinite for an empty support, where
         beta is zero)."""
-        key = (depth, m)
+        key = (self.history[:depth], m)
         if key not in self._beta_lb:
             self._beta_lb[key] = min(
                 (term_degree(ch, h) for ch, h, _ in self._kernel_products(depth, m)),
@@ -207,7 +215,8 @@ def bailey_seed(t: int, alpha) -> BaileyState:
 def bailey_step(state: BaileyState, s: int) -> BaileyState:
     """New state at parameter t + s; alpha transforms pointwise, so the
     support never grows.  `s` is appended to the history."""
-    return BaileyState(state.t0, state.seed, state.history + (s,))
+    memo = (state._beta_cache, state._beta_lb, state._windows)
+    return BaileyState(state.t0, state.seed, state.history + (s,), memo)
 
 
 def bailey_beta(state: BaileyState, k: int, prec: int) -> QSeries:
@@ -219,7 +228,8 @@ def bailey_verify(
 ) -> CheckReport:
     """Check the defining relation beta_m = sum_n I(t, n+m) alpha_n for
     every m in the inclusive range, which must not be empty.  The report
-    carries the widest step window the state summed over, 0 for none."""
+    carries the widest step window summed so far on the state's history,
+    at this level or below, 0 for none."""
     lo, hi = m_range
     if lo > hi:
         raise ValueError(f"empty m range {lo}..{hi}: lo must not exceed hi")

@@ -34,13 +34,13 @@ Arithmetic cost:
   polynomial of degree n(n+1)/2 with most coefficients nonzero, so its
   inverse costs more for large n: I(-30, 30) to half-exponent 2400
   inverts (q;q)_30 to 1500 in 191,760 multiply-adds, 0.015-0.016 s
-  on a 2-core x86-64 VM with CPython 3.11.7.  The kernel inverts
-  (q;q)_a (q;q)_b only for a summand body that it cannot divide from
-  its predecessor (see `tetrahedron`); over every job of the benchmark
-  workloads, from cold caches, the costliest inversion takes 1,065
-  multiply-adds on kernel-highprec, 722 on verify-sweep and 180 on
-  knot-lattice.  `extend_inverse` resumes the recursion from an
-  inverse known to a lower precision.
+  on a 2-core x86-64 VM with CPython 3.11.7.  The kernel inverts only
+  rows 1/(q;q)_n, the foot of each diagonal of summand bodies (see
+  `tetrahedron`); over every job of the benchmark workloads, from cold
+  caches, the costliest inversion takes 1,065 multiply-adds on
+  kernel-highprec, 180 on knot-lattice and 165 on verify-sweep.
+  `extend_inverse` resumes the recursion from an inverse known to a
+  lower precision.
 - `qpoch` builds (q;q)_n from 1, one shift-and-subtract per factor,
   and keeps nothing between calls.
 """

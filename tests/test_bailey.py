@@ -250,14 +250,47 @@ class TestVerify:
         [(0, 1, [1, -1, 2, 0, 1, -1], (-3, 3), 12), (2, 1, [-2, 1], (-2, 2), 8)],
     )
     def test_each_level_reports_its_widest_step_window(self, n0, t, steps, m_range, prec):
-        states = [bailey_seed_delta(n0, t)]
+        # the states of a chain share one memo: right after its check, a
+        # level's view holds the windows of its own level and of every
+        # level below it summed so far, and its report carries the widest
+        state = bailey_seed_delta(n0, t)
+        reports, views = [bailey_verify(state, m_range, prec)], [state.window_extents]
         for s in steps:
-            states.append(bailey_step(states[-1], s))
-        reports = bailey_chain(n0, t, steps, m_range, prec)
-        assert reports == [bailey_verify(state, m_range, prec) for state in states]
-        windows = [max(state.window_extents.values(), default=0) for state in states]
+            state = bailey_step(state, s)
+            reports.append(bailey_verify(state, m_range, prec))
+            views.append(state.window_extents)
+        assert reports == bailey_chain(n0, t, steps, m_range, prec)
+        windows = [max(view.values(), default=0) for view in views]
         assert [r.window for r in reports] == windows
+        lo, hi = m_range
+        for depth, view in enumerate(views):
+            assert all(level <= depth for level, _ in view)
+            if depth:
+                assert {(depth, m) for m in range(lo, hi + 1)} <= set(view)
         assert all(r.holds for r in reports) and windows[0] == 0 and max(windows) >= 1
+
+    def test_interleaved_siblings_equal_fresh_chains(self):
+        # two children of one parent share its memo, keyed apart by their
+        # histories: checked in turns with their own children, every beta
+        # equals the one a chain of its own computes from a fresh seed
+        m_range, prec = (-2, 2), 24
+        parent = bailey_step(bailey_seed_delta(0, 1), -1)
+        bailey_verify(parent, m_range, prec)
+        left, right = bailey_step(parent, -1), bailey_step(parent, 1)
+        states = [left, right, bailey_step(left, 0), bailey_step(right, 0)]
+        reports = [bailey_verify(state, m_range, prec) for state in states]
+        assert all(r.holds for r in reports)
+        assert left._beta_cache is right._beta_cache
+        assert {(-1, -1), (-1, 1), (-1, -1, 0), (-1, 1, 0)} <= {p for p, _ in left._windows}
+        for state in states:
+            fresh = bailey_seed_delta(0, 1)
+            for s in state.history:
+                fresh = bailey_step(fresh, s)
+            assert fresh._beta_cache is not state._beta_cache
+            betas = [state.beta(m, prec) for m in range(-2, 3)]
+            assert betas == [fresh.beta(m, prec) for m in range(-2, 3)], state.history
+            assert sum(not b.is_zero for b in betas) >= 2
+            assert bailey_verify(fresh, m_range, prec).holds
 
 
 class TestKnownFalseMismatch:

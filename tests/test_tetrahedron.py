@@ -2,9 +2,12 @@ import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle import naive_min_degree, naive_tet_index, naive_tet_term, same_to_order
 from tetindex import series, tetrahedron
+from tetindex.identities import triality_check
 from tetindex.series import QSeries, equal_to_order, one, qpoch
 from tetindex.tetrahedron import (
     clear_caches,
@@ -151,14 +154,15 @@ class TestCacheConsistency:
 
     def test_mirrored_summands_share_one_body(self):
         # summand n of I(m, e) and summand n + e of I(m', -e) both divide
-        # by (q;q)_n (q;q)_{n+e}: the second is read from the first's entry
+        # by (q;q)_n (q;q)_{n+e}: the second reads the (2, 5) entry that
+        # the first cached, and makes no body of its own
         clear_caches()
         first = tet_term(2, -1, 3, 40)
-        assert set(tetrahedron._body_cache) == {(2, 5)}
-        body = tetrahedron._body_cache[(2, 5)]
+        cached = dict(tetrahedron._body_cache)
+        assert (2, 5) in cached
         second = tet_term(5, 2, -3, 40)
-        assert set(tetrahedron._body_cache) == {(2, 5)}
-        assert tetrahedron._body_cache[(2, 5)] is body
+        assert tetrahedron._body_cache == cached
+        assert all(tetrahedron._body_cache[k] is v for k, v in cached.items())
         for (n, m, e), got in (((2, -1, 3), first), ((5, 2, -3), second)):
             assert same_to_order(naive_tet_term(n, m, e, 40), got, 40)
 
@@ -290,18 +294,67 @@ class TestOrbit:
             prec = body.prec
             assert body == qpoch(a, prec).inverse() * qpoch(b, prec).inverse()
 
-    def test_predecessor_below_precision_falls_back_to_inversion(self):
+    def test_predecessor_below_precision_is_regrown(self):
         # summand 3 of I(-3, 2) to q^20 caches body (3, 5) at half-exponent
-        # 4 only; summand 4 to q^80 needs (4, 6) at 110, past its
-        # predecessor, so (q;q)_4 (q;q)_6 is inverted
+        # 4 only; summand 4 to q^80 needs (4, 6) at 110, past every body
+        # of its diagonal, so the row (0, 2) is resumed to 110 and each
+        # body up to (4, 6) is divided from it and cached at 110
         clear_caches()
         tet_index(-3, 2, 40)
         assert tetrahedron._body_cache[(3, 5)].prec == 4
         s = tet_term(4, -3, 2, 160)
-        body = tetrahedron._body_cache[(4, 6)]
-        assert body.prec == 110
-        assert body == qpoch(4, 110).inverse() * qpoch(6, 110).inverse()
+        for j in range(5):
+            body = tetrahedron._body_cache[(j, j + 2)]
+            assert body.prec == 110
+            assert body == qpoch(j, 110).inverse() * qpoch(j + 2, 110).inverse()
         assert same_to_order(naive_tet_term(4, -3, 2, 160), s, 160)
+
+    def test_only_rows_are_inverted(self, monkeypatch):
+        # the triality checks sum charges with m > 0, whose bodies are
+        # asked for past their cached predecessors: each walks down its
+        # diagonal to a row, and no divisor is (q;q)_a (q;q)_b with a > 0
+        divisors = []
+        solve = series._solve_inverse
+
+        def spy(a, known):
+            divisors.append(a)
+            return solve(a, known)
+
+        monkeypatch.setattr(series, "_solve_inverse", spy)
+        clear_caches()
+        for m in range(-6, 7):
+            for e in range(-6, 7):
+                assert triality_check(m, e, 12).holds
+        assert triality_check(20, 7, 600).holds
+        assert divisors
+        for a in divisors:
+            assert any(a == qpoch(b, a.prec) for b in range(64)), a
+
+    def test_deep_lone_summand_walks_without_recursion(self):
+        # body (1500, 1500) is 1500 divisions above its row
+        clear_caches()
+        s = tet_term(1500, 750, 0, 1600)
+        assert s.prec == 1600
+        assert same_to_order(naive_tet_term(1500, 750, 0, 1600), s, 1600)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.tuples(st.integers(-10, 10), st.integers(-10, 10)).filter(
+            lambda c: tetrahedron._canonical(*c) != (*c, 0)
+        ),
+        st.lists(st.integers(1, 60), min_size=2, max_size=4),
+    )
+    def test_non_canonical_sums_at_rising_then_falling_precision(self, charge, precs):
+        # sums that tet_index never makes, asked for through one set of
+        # caches: bodies are walked, regrown and read truncated
+        clear_caches()
+        m, e = charge
+        want = _naive(m, e, max(precs))
+        for prec in sorted(precs) + sorted(precs, reverse=True):
+            tetrahedron._index_cache.clear()
+            s = tetrahedron._direct(m, e, prec)
+            assert s.prec == prec
+            assert same_to_order(want, s, prec)
 
     def test_shuffled_requests_share_one_cache(self):
         # every charge of [-6, 6]^2 at three precisions, in one shuffled
