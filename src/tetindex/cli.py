@@ -14,9 +14,11 @@ Every command needs --prec of at least 0.  An identity check whose
 sides all start at or above --prec compares no coefficient and exits 2
 (`identities.compare_series`).
 
-An argv of a command's full flag names with well-formed values is read
-straight from the option table `_COMMANDS`; every other argv goes to
-argparse, which gives the same result and writes all help and errors.
+Each command is one row of the table `_COMMANDS`: its help, its options
+and the call that answers it.  An argv of a command's full flag names
+with well-formed values is read straight from that table; every other
+argv goes to argparse, whose parsers are built from the table on the
+first such argv and give the same result and write all help and errors.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import json
 import sys
 
 from . import bailey, identities, lattice
-from .errors import ExprSyntaxError, StabilizationError, TetIndexError
+from .errors import StabilizationError, TetIndexError
 from .identities import CheckReport
 from .series import QSeries, format_series, monomial_str
 from .tetrahedron import tet_index
@@ -118,8 +120,18 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected LO..HI, got {text!r}") from None
 
 
+def _pentagon(a) -> list[CheckReport]:
+    """The pentagon check, or with --shifted the shifted one."""
+    charges = (a.m1, a.m2, a.e1, a.e2)
+    if a.shifted:
+        return [identities.pentagon_shifted_check(*charges, a.e0 or 0, a.prec)]
+    if a.e0 is not None:
+        raise ValueError("--e0 applies only with --shifted")
+    return [identities.pentagon_check(*charges, a.prec)]
+
+
 # Every command's options, each flag with the keywords of its
-# add_argument call: `_parser` builds argparse from this table and
+# add_argument call: `_parsers` builds argparse from this table and
 # `_quick_parse` reads well-formed argv straight from it.
 _INT = {"type": int, "required": True}
 _COMMON = {
@@ -128,23 +140,30 @@ _COMMON = {
                "for all exponents strictly below H/2"},
     "--format": {"choices": ("text", "json", "latex"), "default": "text"},
 }
-# the commands, in the order `tetindex -h` lists them, with their help
-# and their options
+# the commands, in the order `tetindex -h` lists them, with their help,
+# their options and the call that answers a namespace: a series, a
+# (series, box half-width) pair or a list of reports.  Each call looks
+# its layer function up when it runs, so a rebinding of that name (as
+# bench/spans.py makes to trace it) is seen.
 _COMMANDS = {
-    "tet": ("tetrahedron index I(m,e)", {**_COMMON, "-m": _INT, "-e": _INT}),
-    "triality": ("triality relations", {**_COMMON, "-m": _INT, "-e": _INT}),
+    "tet": ("tetrahedron index I(m,e)", {**_COMMON, "-m": _INT, "-e": _INT},
+            lambda a: tet_index(a.m, a.e, a.prec)),
+    "triality": ("triality relations", {**_COMMON, "-m": _INT, "-e": _INT},
+                 lambda a: [identities.triality_check(a.m, a.e, a.prec)]),
     "pentagon": ("pentagon identity", {
         **_COMMON, "--m1": _INT, "--m2": _INT, "--e1": _INT, "--e2": _INT,
         "--e0": {"type": int, "default": None},
         "--shifted": {"action": "store_true"},
-    }),
+    }, _pentagon),
     "bailey": ("Bailey chain verification", {
         **_COMMON, "--n0": _INT, "--t": _INT,
         "--steps": {"type": _parse_steps, "default": ""},
         "--m-range": {"type": _parse_range, "default": "-3..3"},
-    }),
-    "eval": ("evaluate an expression file", {**_COMMON, "--file": {"required": True}}),
-    "ind41": ("figure-eight-knot index", _COMMON),
+    }, lambda a: bailey.bailey_chain(a.n0, a.t, a.steps, a.m_range, a.prec)),
+    "eval": ("evaluate an expression file", {**_COMMON, "--file": {"required": True}},
+             lambda a: lattice.eval_expr_with_box(lattice.load_expr_file(a.file), a.prec)),
+    "ind41": ("figure-eight-knot index", _COMMON, lambda a: lattice.eval_expr_with_box(
+        lattice.parse_expr(lattice.IND41_TEXT), a.prec)),
 }
 
 
@@ -153,18 +172,24 @@ def _dest(flag: str) -> str:
 
 
 @functools.cache
-def _parser(command: str) -> argparse.ArgumentParser:
-    """The parser of one command, built on first use and shared by every
-    call: each parse_args fills a fresh namespace, so no call sees
-    another's options."""
-    p = argparse.ArgumentParser(prog=f"tetindex {command}")
-    for flag, keywords in _COMMANDS[command][1].items():
-        p.add_argument(flag, dest=_dest(flag), **keywords)
-    return p
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's parser, built together on
+    first use and shared by every call: each parse_args fills a fresh
+    namespace, so no call sees another's options."""
+    top = argparse.ArgumentParser(
+        prog="tetindex",
+        description="Exact q-series computations with the tetrahedron index.",
+    )
+    sub = top.add_subparsers(dest="command", required=True)
+    for command, (help_text, options, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag, keywords in options.items():
+            p.add_argument(flag, dest=_dest(flag), **keywords)
+    return top, sub.choices
 
 
 def _quick_parse(command: str, args: list[str]) -> argparse.Namespace | None:
-    """The namespace `_parser(command)` makes of `args`, read straight from
+    """The namespace `command`'s parser makes of `args`, read straight from
     the option table, or None unless every token is one of the command's
     own flags, or `flag=value`, with a well-formed value.  A value in the
     next token may start with "-" only as a negative integer, as argparse
@@ -215,32 +240,6 @@ def _quick_parse(command: str, args: list[str]) -> argparse.Namespace | None:
     return namespace
 
 
-class _Deferred:
-    """A command's entry in the top-level parser.  That parser hands it
-    arguments only when an option precedes the command; the command's
-    parser is built then."""
-
-    def __init__(self, prog, **_):
-        self.command = prog.rpartition(" ")[2]
-
-    def parse_known_args(self, args, namespace=None):
-        return _parser(self.command).parse_known_args(args, namespace)
-
-
-@functools.cache
-def _top_parser() -> argparse.ArgumentParser:
-    """The parser of an argv that does not start with a command: it
-    lists the commands for -h and names a missing or unknown one."""
-    p = argparse.ArgumentParser(
-        prog="tetindex",
-        description="Exact q-series computations with the tetrahedron index.",
-    )
-    sub = p.add_subparsers(dest="command", required=True, parser_class=_Deferred)
-    for command, (help_text, _) in _COMMANDS.items():
-        sub.add_parser(command, help=help_text)
-    return p
-
-
 def run(argv) -> int:
     """Dispatch one invocation; results on stdout, diagnostics on stderr."""
     argv = list(argv)
@@ -249,49 +248,20 @@ def run(argv) -> int:
         if command in _COMMANDS:
             args = _quick_parse(command, argv[1:])
             if args is None:
-                args = _parser(command).parse_args(
+                args = _parsers()[1][command].parse_args(
                     argv[1:], argparse.Namespace(command=command)
                 )
         else:
-            args = _top_parser().parse_args(argv)
+            args = _parsers()[0].parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     if args.prec < 0:
         print("error: --prec must be at least 0", file=sys.stderr)
         return EXIT_USAGE
-    if args.command == "pentagon" and args.e0 is not None and not args.shifted:
-        print("error: --e0 applies only with --shifted", file=sys.stderr)
-        return EXIT_USAGE
 
     meta = {"command": " ".join(["tetindex"] + argv), "prec_half_exp": args.prec}
     try:
-        if args.command == "tet":
-            result = tet_index(args.m, args.e, args.prec)
-        elif args.command == "triality":
-            result = [identities.triality_check(args.m, args.e, args.prec)]
-        elif args.command == "pentagon":
-            if args.shifted:
-                rep = identities.pentagon_shifted_check(
-                    args.m1, args.m2, args.e1, args.e2, args.e0 or 0, args.prec
-                )
-            else:
-                rep = identities.pentagon_check(
-                    args.m1, args.m2, args.e1, args.e2, args.prec
-                )
-            result = [rep]
-        elif args.command == "bailey":
-            result = bailey.bailey_chain(
-                args.n0, args.t, args.steps, args.m_range, args.prec
-            )
-        else:
-            if args.command == "eval":
-                expr = lattice.load_expr_file(args.file)
-            else:
-                expr = lattice.parse_expr(lattice.IND41_TEXT)
-            result, meta["box"] = lattice.eval_expr_with_box(expr, args.prec)
-    except ExprSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        result = _COMMANDS[args.command][2](args)
     except StabilizationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
@@ -299,6 +269,8 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    if isinstance(result, tuple):
+        result, meta["box"] = result
     if not isinstance(result, QSeries):
         # the widest charge-sum window any report summed over
         windows = [r.window for r in result if r.window is not None]

@@ -27,9 +27,9 @@ from .lattice import (
     AffineForm,
     LatticeSumExpr,
     _Certificate,
-    _evaluate,
     _low_points,
     charge_product,
+    eval_expr_with_box,
 )
 from .series import QSeries, equal_to_order
 from .tetrahedron import _direct
@@ -151,14 +151,14 @@ _grow_symmetric_window = _members_window
 def _report(lhs, rhs_sum, prec, what) -> CheckReport:
     """Compare lhs() with the certified sum `rhs_sum` below `prec`; the
     report carries the sum's window half-width."""
-    rhs, extent = _evaluate(rhs_sum, prec, what)
+    rhs, extent = eval_expr_with_box(rhs_sum, prec, what)
     return compare_series([(lhs(), rhs)], prec, extent)
 
 
 def pentagon_rhs(m1: int, m2: int, e1: int, e2: int, prec: int) -> QSeries:
     """Charge sum over e3 of q^(e3) I(m1,e1+e3) I(m2,e2+e3) I(m1+m2,e3),
     truncated by its certificate."""
-    return _evaluate(_pentagon_sum(m1, m2, e1, e2), prec, "pentagon window")[0]
+    return eval_expr_with_box(_pentagon_sum(m1, m2, e1, e2), prec, "pentagon window")[0]
 
 
 # The window half-widths of pentagon_rhs and pentagon_shifted_rhs, which
@@ -201,7 +201,7 @@ def pentagon_shifted_rhs(
     """Charge sum of q^(e3 + (m2-e1)/2) I(m1,e1+e3) I(m2,e2+e3)
     I(m1+m2, e0+e3), truncated by its certificate."""
     expr = _pentagon_sum(m1, m2, e1, e2, e0, m2 - e1)
-    return _evaluate(expr, prec, "shifted-pentagon window")[0]
+    return eval_expr_with_box(expr, prec, "shifted-pentagon window")[0]
 
 
 def pentagon_shifted_window_extent(m1, m2, e1, e2, e0, prec) -> int:

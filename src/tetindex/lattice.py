@@ -798,8 +798,12 @@ def _orbit_sum(expr: LatticeSumExpr, terms: dict, group, prec: int) -> QSeries:
     return sum_products(reps, prec)
 
 
-def _evaluate(expr, prec, what):
-    """The sum and its box half-width, `what` naming it in errors.
+def eval_expr_with_box(
+    expr: LatticeSumExpr, prec: int, what: str = "lattice sum"
+) -> tuple[QSeries, int]:
+    """Sum the expression over its integer lattice, truncated at `prec`,
+    and report the box half-width: the max-norm of its farthest low
+    point.  `what` names the sum in errors.
 
     Only the origin and the low points of `_low_points` are summed, one
     orbit of the sum's symmetry group at a time (`_orbit_sum`); every
@@ -809,13 +813,6 @@ def _evaluate(expr, prec, what):
     at, origin = cert.term.at, (0,) * expr.rank
     terms[origin] = at(origin)
     return _orbit_sum(expr, terms, group, prec), extent
-
-
-def eval_expr_with_box(expr: LatticeSumExpr, prec: int) -> tuple[QSeries, int]:
-    """Sum the expression over its integer lattice, truncated at `prec`,
-    and report the box half-width: the max-norm of its farthest low
-    point."""
-    return _evaluate(expr, prec, "lattice sum")
 
 
 def ind41(prec: int) -> QSeries:

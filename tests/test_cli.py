@@ -15,7 +15,7 @@ import tetindex
 
 from tetindex import cli
 from tetindex.cli import run, series_from_json, series_to_json
-from tetindex import identities, lattice
+from tetindex import bailey, identities, lattice
 from tetindex.identities import CheckReport
 from tetindex.series import QSeries
 from tetindex.tetrahedron import tet_index
@@ -415,9 +415,8 @@ class TestParserReuse:
 
     def test_each_parser_is_built_once(self, capsys, monkeypatch):
         # a well-formed argv is read from the option table and builds no
-        # parser; help or a usage error after a command builds that
-        # command's parser once and no other; the top-level parser builds
-        # none of the commands' parsers
+        # parser; the first help or usage error builds the whole tree, the
+        # top-level parser and every command's, and later ones build none
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -426,31 +425,68 @@ class TestParserReuse:
             init(self, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        cli._parser.cache_clear()
-        cli._top_parser.cache_clear()
+        cli._parsers.cache_clear()
         try:
             for _ in range(2):
                 assert invoke(capsys, "tet", "-m", "0", "-e", "0", "--prec", "4")[0] == 0
                 assert invoke(capsys, "triality", "-m", "0", "-e", "0", "--prec", "4")[0] == 0
             assert built == []
+            assert invoke(capsys, "tet", "-h")[0] == 0
+            assert built == ["tetindex"] + [f"tetindex {c}" for c in cli._COMMANDS]
             for _ in range(2):
                 assert invoke(capsys, "tet", "-h")[0] == 0
                 assert invoke(capsys, "triality", "-m", "0", "--prec", "4")[0] == 2
-            assert built == ["tetindex tet", "tetindex triality"]
-            assert invoke(capsys, "-h")[0] == 0
-            assert invoke(capsys, "frobnicate")[0] == 2
-            assert built[2:] == ["tetindex"]
+                assert invoke(capsys, "-h")[0] == 0
+                assert invoke(capsys, "frobnicate")[0] == 2
+            assert len(built) == 1 + len(cli._COMMANDS)
         finally:
-            cli._parser.cache_clear()
-            cli._top_parser.cache_clear()
+            cli._parsers.cache_clear()
+
+
+# each command's layer function, as the module attribute its row must look
+# up when it runs; bench/spans.py traces a function by rebinding that name
+_LAYER_CALLS = [
+    (["tet", "-m", "0", "-e", "0", "--prec", "4"], cli, "tet_index"),
+    (["triality", "-m", "0", "-e", "0", "--prec", "4"], identities, "triality_check"),
+    (["pentagon", "--m1", "1", "--m2", "0", "--e1", "1", "--e2", "0", "--prec", "8"],
+     identities, "pentagon_check"),
+    (["pentagon", "--shifted", "--m1", "1", "--m2", "0", "--e1", "1", "--e2", "0",
+      "--e0", "1", "--prec", "8"], identities, "pentagon_shifted_check"),
+    (["bailey", "--n0", "0", "--t", "1", "--steps", "1", "--m-range=-2..2", "--prec", "6"],
+     bailey, "bailey_chain"),
+    (["eval", "--file", os.path.join(REPO, "bench", "exprs", "rank3.txt"), "--prec", "4"],
+     lattice, "eval_expr_with_box"),
+    (["ind41", "--prec", "4"], lattice, "eval_expr_with_box"),
+]
+
+
+class TestLateBinding:
+    def test_every_command_is_covered(self):
+        assert {argv[0] for argv, _, _ in _LAYER_CALLS} == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize(
+        "argv, module, name", _LAYER_CALLS, ids=[f"{a[0]}-{n}" for a, _, n in _LAYER_CALLS]
+    )
+    def test_row_calls_the_rebound_name(self, capsys, monkeypatch, argv, module, name):
+        # a row that stored the function object would miss the spy
+        real, calls = getattr(module, name), []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+        assert invoke(capsys, *argv)[0] == 0
+        assert calls
 
 
 def _argparse_parse(command, args):
     """What the command's argparse parser makes of `args`: its namespace,
     or None where it exits with help or a usage error."""
+    parser = cli._parsers()[1][command]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return cli._parser(command).parse_args(args, argparse.Namespace(command=command))
+            return parser.parse_args(args, argparse.Namespace(command=command))
         except SystemExit:
             return None
 
