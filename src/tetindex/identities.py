@@ -21,8 +21,6 @@ one shifted-pentagon sum per seed point and takes the widest window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .lattice import (
     AffineForm,
     LatticeSumExpr,
@@ -31,7 +29,7 @@ from .lattice import (
     charge_product,
     eval_expr_with_box,
 )
-from .series import QSeries, equal_to_order
+from .series import Frozen, QSeries, equal_to_order
 from .tetrahedron import _direct
 
 __all__ = [
@@ -48,8 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Frozen):
     """Outcome of a coefficientwise identity check.
 
     `first_mismatch` is (half_exp, lhs_coeff, rhs_coeff) for the lowest
@@ -57,12 +54,16 @@ class CheckReport:
     half-width of the charge-sum window the check summed over, if any.
     """
 
-    verified_to: int
-    holds: bool
-    first_mismatch: tuple[int, int, int] | None = None
-    window: int | None = None
+    __slots__ = ("verified_to", "holds", "first_mismatch", "window")
 
-    def __post_init__(self):
+    def __init__(
+        self, verified_to: int, holds: bool,
+        first_mismatch: tuple[int, int, int] | None = None, window: int | None = None,
+    ):
+        object.__setattr__(self, "verified_to", verified_to)
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "first_mismatch", first_mismatch)
+        object.__setattr__(self, "window", window)
         if self.holds != (self.first_mismatch is None):
             raise ValueError("holds must mirror the absence of a mismatch")
 

@@ -48,13 +48,12 @@ from __future__ import annotations
 import itertools
 import re
 from collections import deque
-from dataclasses import dataclass
 from functools import reduce
 from math import gcd, prod
 from operator import add, mul
 
 from .errors import ExprSyntaxError, StabilizationError
-from .series import QSeries, _from_array, half_exp_str, one, zero
+from .series import Frozen, QSeries, _from_array, half_exp_str, one, zero
 from .tetrahedron import term_degree, tet_index, tet_min_degree
 
 __all__ = [
@@ -85,13 +84,15 @@ POINT_BUDGET = 100_000
 _RESERVED = {"sum", "q", "I"}
 
 
-@dataclass(frozen=True)
-class AffineForm:
+class AffineForm(Frozen):
     """coeffs[i] (half-units) multiplies the i-th lattice variable;
     `constant` is in half-units as well."""
 
-    coeffs: tuple[int, ...]
-    constant: int
+    __slots__ = ("coeffs", "constant")
+
+    def __init__(self, coeffs: tuple[int, ...], constant: int):
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "constant", constant)
 
     def __call__(self, point) -> int:
         return self.constant + sum(c * k for c, k in zip(self.coeffs, point))
@@ -105,16 +106,19 @@ class AffineForm:
         return self.constant == 0 and not any(self.coeffs)
 
 
-@dataclass(frozen=True)
-class LatticeSumExpr:
-    vars: tuple[str, ...]
-    sign: int
-    prefactor: AffineForm
-    factors: tuple[tuple[AffineForm, AffineForm], ...]
+class LatticeSumExpr(Frozen):
+    __slots__ = ("vars", "sign", "prefactor", "factors")
 
-    def __post_init__(self):
+    def __init__(
+        self, vars: tuple[str, ...], sign: int, prefactor: AffineForm,
+        factors: tuple[tuple[AffineForm, AffineForm], ...],
+    ):
         """Reject what the parser never builds: a sign other than +-1, a
         form not of the rank, and a charge form not integer-valued."""
+        object.__setattr__(self, "vars", vars)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "prefactor", prefactor)
+        object.__setattr__(self, "factors", factors)
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be 1 or -1, got {self.sign}")
         counts, odd = {len(self.prefactor.coeffs)}, 0

@@ -43,16 +43,18 @@ Arithmetic cost:
   lower precision.
 - `qpoch` builds (q;q)_n from 1, one shift-and-subtract per factor,
   and keeps nothing between calls.
+
+`QSeries` and the package's other value types subclass `Frozen`, which
+compares, hashes and prints like a frozen dataclass without importing one.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from itertools import repeat
 from math import gcd
-from operator import add, and_, lshift, neg, rshift, sub
+from operator import add, and_, attrgetter, lshift, neg, rshift, sub
 
 from .errors import PrecisionError
 
@@ -73,8 +75,35 @@ __all__ = [
 KRONECKER_MIN = 32
 
 
-@dataclass(frozen=True)
-class QSeries:
+class Frozen:
+    """An immutable value, compared, hashed and printed by its fields: its
+    class's `__slots__`, at least two, set in `__init__` by `object.__setattr__`."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        pairs = zip(self.__slots__, self._fields(self))
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in pairs)})"
+
+
+class QSeries(Frozen):
     """A Laurent series in q^(1/2), truncated at half-exponent `prec`.
 
     coeffs[i] is the coefficient of q^((lead + i) / 2).  Canonical form:
@@ -82,11 +111,12 @@ class QSeries:
     or coeffs[0] != 0.  len(coeffs) == prec - lead always.
     """
 
-    lead: int
-    coeffs: tuple[int, ...]
-    prec: int
+    __slots__ = ("lead", "coeffs", "prec")
 
-    def __post_init__(self):
+    def __init__(self, lead: int, coeffs: tuple[int, ...], prec: int):
+        object.__setattr__(self, "lead", lead)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "prec", prec)
         if self.lead > self.prec:
             raise ValueError("lead exceeds precision bound")
         if len(self.coeffs) != self.prec - self.lead:
