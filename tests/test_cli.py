@@ -365,6 +365,40 @@ def test_python_m_runs_the_cli():
     assert proc.stdout.strip() == "1 - 8*q - 9*q^2 + 18*q^3 + 46*q^4 + O(q^5)"
 
 
+class TestEvalFileEndToEnd:
+    """`python -m tetindex eval --file`, each in a fresh interpreter."""
+
+    @staticmethod
+    def tetindex(*argv):
+        src = os.path.dirname(os.path.dirname(tetindex.__file__))
+        return subprocess.run(
+            [sys.executable, "-m", "tetindex", *argv],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+            check=False, timeout=60,
+        )
+
+    def test_syntax_error_exits_two_with_its_position(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(b"# a bad denominator\r\nsum k :\r\n  I(k, 1/3)\r\n")
+        proc = self.tetindex("eval", "--file", str(p), "--prec", "6")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: only /2 denominators are allowed (at position 15)\n"
+
+    def test_crlf_file_with_a_comment_is_the_one_line_sum(self, tmp_path):
+        one, crlf = tmp_path / "one.txt", tmp_path / "crlf.txt"
+        one.write_bytes(b"sum e3 : q^(e3) * I(1, e3 - 1) * I(-2, e3 + 2) * I(-1, e3)\n")
+        crlf.write_bytes(
+            b"# a pentagon right-hand side\r\nsum e3 :\r\n"
+            b"  q^(e3) * I(1, e3 - 1)\r\n  * I(-2, e3 + 2) * I(-1, e3)\r\n"
+        )
+        procs = [self.tetindex("eval", "--file", str(p), "--prec", "12", "--format", "json")
+                 for p in (one, crlf)]
+        assert [proc.returncode for proc in procs] == [0, 0]
+        a, b = (json.loads(proc.stdout) for proc in procs)
+        assert a["series"] == b["series"] and a["meta"]["box"] == b["meta"]["box"]
+        assert len(a["series"]["coeffs"]) > 1
+
+
 class TestDispatch:
     """An argv that starts with a command is parsed by that command's
     parser; any other argv by the top-level parser."""

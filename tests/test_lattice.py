@@ -37,6 +37,33 @@ from tetindex.series import equal_to_order, zero
 from tetindex.tetrahedron import term_degree, tet_min_degree
 
 
+# the message and position of every rejection, as the parser has always
+# given them
+REJECTIONS = {
+    "I(k,k)": ("expected 'sum', found 'I'", 0),
+    "sum : I(0,0)": ("at least one lattice variable is required", 0),
+    "sum k k : I(k,k)": ("duplicate variable 'k'", 6),
+    "sum q : I(q,q)": ("'q' is reserved", 4),
+    "sum k : I(k, j)": ("unknown variable 'j'", 13),
+    "sum k : I(k/2, k)": ("charge form not integer-valued", 10),
+    "sum k : q^(k) I(k,k)": ("expected punct, found 'I'", 14),
+    "sum k : I(k, 1/3)": ("only /2 denominators are allowed", 15),
+    "sum k : I(k, k) extra": ("trailing input 'extra'", 16),
+    # an unexpected character, an empty text and `sum k` with no colon
+    "sum k : I(k, k) $": ("unexpected character '$'", 16),
+    "": ("unexpected end of expression", 0),
+    "sum k": ("expected ':' after variables", 5),
+    # a text cut off inside a form, and after `1/`
+    "sum k : I(k, k": ("unexpected end of expression", 14),
+    "sum k : I(k, 1/": ("unexpected end of expression", 15),
+    # `2*` followed by a number, and a prefactor with no `*` after it
+    "sum k : I(2* 3, k)": ("expected ident, found '3'", 13),
+    "sum k : q^(k) + I(k,k)": ("expected '*', found '+'", 14),
+    # only a number takes a variable after `*`
+    "sum k : I(k*2, k)": ("expected ',', found '*'", 11),
+}
+
+
 class TestParse:
     def test_ind41_structure(self):
         e = parse_expr(IND41_TEXT)
@@ -81,13 +108,23 @@ class TestParse:
             ("sum k : q^(k) I(k,k)", "found 'I'"),
             ("sum k : I(k, 1/3)", "only /2 denominators"),
             ("sum k : I(k, k) extra", "trailing input"),
+            ("sum k : I(k, k) $", "unexpected character"),
+            ("", "unexpected end"),
+            ("sum k", "expected ':'"),
+            ("sum k : I(k, k", "unexpected end"),
+            ("sum k : I(k, 1/", "unexpected end"),
+            ("sum k : I(2* 3, k)", "expected ident"),
+            ("sum k : q^(k) + I(k,k)", "expected '*'"),
+            ("sum k : I(k*2, k)", "expected ','"),
         ],
     )
     def test_rejections_carry_position(self, text, fragment):
         with pytest.raises(ExprSyntaxError) as exc:
             parse_expr(text)
-        assert fragment in str(exc.value)
-        assert 0 <= exc.value.position <= len(text)
+        message, position = REJECTIONS[text]
+        assert fragment in message
+        assert str(exc.value) == f"{message} (at position {position})"
+        assert exc.value.position == position
 
     def test_half_charge_position_points_at_form(self):
         text = "sum k : I(k/2, k)"
@@ -148,6 +185,33 @@ class TestFormat:
     def test_round_trip(self, text):
         e = parse_expr(text)
         assert parse_expr(format_expr(e)) == e
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_generated_round_trip(self, data):
+        """Rank 1 to 3, a leading minus, half-unit prefactors, coefficient
+        sugar and zero forms; whitespace between tokens changes nothing."""
+        rank = data.draw(st.integers(1, 3))
+        names = data.draw(st.lists(
+            st.from_regex(r"[A-Za-z_][A-Za-z_0-9]{0,2}", fullmatch=True).filter(
+                lambda name: name not in ("sum", "q", "I")),
+            min_size=rank, max_size=rank, unique=True))
+
+        def form(step):
+            small = st.integers(-4, 4).map(lambda c: step * c)
+            return st.one_of(st.just(AffineForm((0,) * rank, 0)),
+                             st.builds(AffineForm, st.tuples(*[small] * rank), small))
+
+        expr = LatticeSumExpr(
+            tuple(names), data.draw(st.sampled_from((1, -1))), data.draw(form(1)),
+            tuple(data.draw(st.lists(st.tuples(form(2), form(2)), min_size=1, max_size=3))),
+        )
+        text = format_expr(expr)
+        assert parse_expr(text) == expr
+        gaps = st.text(" \t\r\n", min_size=1, max_size=3)
+        tokens = re.findall(r"\w+|\S", text)
+        spaced = "".join(tok + data.draw(gaps) for tok in tokens)
+        assert parse_expr(data.draw(gaps) + spaced) == expr
 
 
 class TestEval:
@@ -700,6 +764,49 @@ class TestFiles:
         p = tmp_path / "expr.txt"
         p.write_text("# figure-eight knot\nsum k1 k2 :\n  I(k1,k2)*I(k2,k1)\n")
         assert load_expr_file(p) == parse_expr(IND41_TEXT)
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"sum k1 k2 :\r\n  I(k1,k2)*I(k2,k1)\r\n",
+            b"   # an indented comment\nsum k1 k2 : I(k1,k2)*I(k2,k1)\n",
+            b"sum k1\n k2 : I(k1,\n\n k2) *\n I(k2, k1)\n",
+            b"sum k1 k2 : I(k1,k2)*I(k2,k1)",
+        ],
+        ids=["crlf", "indented-comment", "split-over-lines", "no-trailing-newline"],
+    )
+    def test_load_equals_the_one_line_parse(self, tmp_path, content):
+        p = tmp_path / "expr.txt"
+        p.write_bytes(content)
+        assert load_expr_file(p) == parse_expr(IND41_TEXT)
+
+    @pytest.mark.parametrize(
+        "content, message, position",
+        [
+            # lines are stripped and joined by single spaces
+            (b"# bad\r\nsum k :\r\n  I(k, 1/3)\r\n", "only /2 denominators are allowed", 15),
+            # a lone carriage return ends a line too
+            (b"sum k : I(k, k)\r# comment\rextra\r", "trailing input 'extra'", 16),
+            # blank lines before and after add nothing, so the end is at 14
+            (b"\n  \nsum k : I(k, k\n\n", "unexpected end of expression", 14),
+        ],
+    )
+    def test_load_error_positions_are_in_the_joined_text(self, tmp_path, content,
+                                                         message, position):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(content)
+        with pytest.raises(ExprSyntaxError) as exc:
+            load_expr_file(p)
+        assert str(exc.value) == f"{message} (at position {position})"
+
+    def test_undecodable_byte_is_named_at_its_offset(self, tmp_path):
+        # the file is decoded in one call, so a UTF-8 sequence cut off at
+        # the end is reported where it starts in the file
+        p = tmp_path / "cut.txt"
+        p.write_bytes(b"sum k : I(k, k)\xc3")
+        with pytest.raises(UnicodeDecodeError) as exc:
+            load_expr_file(p)
+        assert (exc.value.start, exc.value.reason) == (15, "unexpected end of data")
 
     def test_load_propagates_syntax_errors(self, tmp_path):
         p = tmp_path / "bad.txt"
