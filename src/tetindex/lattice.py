@@ -786,8 +786,10 @@ def _orbit_sum(expr: LatticeSumExpr, terms: dict, group, prec: int) -> QSeries:
         if p not in seen:
             orbit = {_act(g, p) for g in group}
             seen |= orbit
-            for image in orbit - terms.keys():
-                if _face_of(image) in faces:
+            # one membership test per image (a set minus `terms.keys()`
+            # would walk every key of `terms` for each orbit)
+            for image in orbit:
+                if image not in terms and _face_of(image) in faces:
                     raise RuntimeError(
                         f"the image {image} of the low point {p} is on a face "
                         f"walked, but not low"

@@ -22,7 +22,9 @@ Arithmetic cost:
   a slot is copied for all slots at once as one strided slice.  Reading
   back, the slots are widened the same way to 64-bit words, the bytes
   above a slot filled with its sign by one `bytes.translate`, and
-  `array.tolist` makes the ints.
+  `array.tolist` makes the ints.  A long product with an operand that
+  is a monomial to the product's precision is the other operand shifted
+  and scaled, and nothing is packed.
 - `inverse` solves the triangular recursion over the nonzero
   coefficients of the divisor a: coefficient k of 1/a is -a_0 times the
   sum of a_j (1/a)_(k-j) over the nonzero a_j with 0 < j <= k.  With
@@ -201,8 +203,15 @@ class QSeries(Frozen):
         if n >= KRONECKER_MIN:
             a = self.coeffs[:n]
             # a square is packed once (the same tuple object twice)
-            out = _kronecker(a, a if other is self else other.coeffs[:n])
-            return _from_array(lead, out, prec)
+            b = a if other is self else other.coeffs[:n]
+            # an operand whose first n coefficients are its lead alone,
+            # such as the 1 of `_body`'s product by 1, shifts and scales
+            # the other
+            if a.count(0) == n - 1:
+                return other.scaled(a[0], self.lead).truncated(prec)
+            if b.count(0) == n - 1:
+                return self.scaled(b[0], other.lead).truncated(prec)
+            return _from_array(lead, _kronecker(a, b), prec)
         out = [0] * n
         for i, ca in enumerate(self.coeffs):
             if ca == 0 or i >= n:

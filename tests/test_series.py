@@ -173,6 +173,43 @@ class TestMul:
         want = dict_mul(series_to_dict(a), series_to_dict(a), prec)
         assert same_to_order(want, s, prec)
 
+    @pytest.mark.parametrize("seed", range(24))
+    def test_monomial_operand_is_not_packed(self, seed, monkeypatch):
+        # at Kronecker size an operand whose first n coefficients are its
+        # lead alone, whatever it carries past them, shifts and scales the
+        # other operand, on either side, and nothing is packed; with one
+        # more term among them it is packed as before
+        rng = random.Random(seed)
+        n = rng.randrange(KRONECKER_MIN, 120)
+        longer = rng.randrange(1, 20)
+        mono_tail, other_tail = rng.choice(((0, 0), (longer, 0), (0, longer)))
+        c = rng.choice((1, -1, 7, -(10**30)))
+        coeffs = [c] + [0] * (n - 1) + [rng.randrange(1, 9)] * mono_tail
+        lead = rng.randrange(-5, 6)
+        mono = series(lead, coeffs, lead + len(coeffs))
+        coeffs[rng.randrange(1, n)] = rng.choice((1, -2))
+        binomial = series(lead, coeffs, lead + len(coeffs))
+        coeffs = [rng.randrange(-(10**20), 10**20) for _ in range(n + other_tail)]
+        coeffs[0] = rng.choice((1, -3))
+        lead = rng.randrange(-5, 6)
+        other = series(lead, coeffs, lead + len(coeffs))
+        prec = mono.lead + other.lead + n
+
+        def products(a):
+            want = dict_mul(series_to_dict(a), series_to_dict(other), prec)
+            for s in (a * other, other * a):
+                assert s.prec == prec
+                assert_canonical(s)
+                assert same_to_order(want, s, prec)
+
+        products(binomial)
+
+        def packed(a, b):
+            raise AssertionError("a monomial product was packed")
+
+        monkeypatch.setattr(series_module, "_kronecker", packed)
+        products(mono)
+
     @pytest.mark.parametrize("c", [2**65 - 1, -(2**65 - 1), 255, -256])
     @pytest.mark.parametrize("n", [KRONECKER_MIN - 1, KRONECKER_MIN, 63, 126])
     def test_slot_boundaries(self, c, n):

@@ -204,6 +204,19 @@ def _orbit(m, e):
     ]
 
 
+def _orbits_meeting(r):
+    """The orbits that meet [-r, r]^2, each as the list of its distinct
+    members."""
+    seen, orbits = set(), []
+    for m in range(-r, r + 1):
+        for e in range(-r, r + 1):
+            if (m, e) not in seen:
+                members = sorted({c for c, _ in _orbit(m, e)})
+                seen.update(members)
+                orbits.append(members)
+    return orbits
+
+
 _ORBIT_CHARGES = [(3, -1), (2, 2), (4, -6), (1, -5), (-3, 5), (5, 0), (-2, -2)]
 
 
@@ -257,6 +270,48 @@ class TestOrbit:
         clear_caches()
         tet_index(-1, 4, 20)
         assert set(tetrahedron._index_cache) == {(-4, 1)}
+
+    def test_representative_is_the_least_member(self):
+        # the closed form is the least (m', e', h) of the six, and every
+        # member of an orbit is sent to the same (m', e')
+        span = range(-30, 31)
+        for m in span:
+            for e in span:
+                rep = tetrahedron._canonical(m, e)
+                assert rep == min((*c, h) for c, h in _orbit(m, e))
+                for c, _ in _orbit(m, e):
+                    assert tetrahedron._canonical(*c)[:2] == rep[:2]
+
+    def test_one_sum_per_orbit_from_cold_caches(self):
+        # every member of every orbit that meets [-8, 8]^2, in a shuffled
+        # order at mixed precisions, is answered from one cached sum: the
+        # member with the least first charge, then the least second
+        rng = random.Random(32)
+        for members in _orbits_meeting(8):
+            clear_caches()
+            rng.shuffle(members)
+            for i, (m, e) in enumerate(members):
+                prec = (20, 40, 30)[i % 3]
+                s = tet_index(m, e, prec)
+                assert s.prec == prec
+                assert same_to_order(_naive(m, e, 40), s, prec)
+            assert set(tetrahedron._index_cache) == {min(members)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-8, 8), st.integers(-8, 8), st.integers(1, 60)),
+            max_size=16,
+        )
+    )
+    def test_no_orbit_is_summed_under_two_keys(self, requests):
+        # after any run of tet_index calls every cached key is the least
+        # member of its orbit, so no two keys share an orbit
+        clear_caches()
+        for m, e, prec in requests:
+            tet_index(m, e, prec)
+        for key in tetrahedron._index_cache:
+            assert key == min(c for c, _ in _orbit(*key))
 
     def test_regrown_first_body_resumes_its_inverse(self, monkeypatch):
         # only a sum's first body, here (0, 3), is inverted; asked for at
