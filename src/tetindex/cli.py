@@ -157,8 +157,8 @@ _COMMANDS = {
     }, _pentagon),
     "bailey": ("Bailey chain verification", {
         **_COMMON, "--n0": _INT, "--t": _INT,
-        "--steps": {"type": _parse_steps, "default": ""},
-        "--m-range": {"type": _parse_range, "default": "-3..3"},
+        "--steps": {"type": _parse_steps, "default": ()},
+        "--m-range": {"type": _parse_range, "default": (-3, 3)},
     }, lambda a: bailey.bailey_chain(a.n0, a.t, a.steps, a.m_range, a.prec)),
     "eval": ("evaluate an expression file", {**_COMMON, "--file": {"required": True}},
              lambda a: lattice.eval_expr_with_box(lattice.load_expr_file(a.file), a.prec)),
@@ -232,10 +232,7 @@ def _quick_parse(command: str, args: list[str]) -> argparse.Namespace | None:
         elif "action" in keywords:
             value = False
         else:
-            # argparse passes a string default through the option's type
             value = keywords.get("default")
-            if isinstance(value, str):
-                value = keywords.get("type", str)(value)
         setattr(namespace, _dest(flag), value)
     return namespace
 

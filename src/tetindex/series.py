@@ -41,8 +41,8 @@ Arithmetic cost:
   `tetrahedron`); over every job of the benchmark workloads, from cold
   caches, the costliest inversion takes 1,065 multiply-adds on
   kernel-highprec, 180 on knot-lattice and 165 on verify-sweep.
-  `extend_inverse` resumes the recursion from an inverse known to a
-  lower precision.
+  `inverse(known=...)` resumes the recursion from an inverse known to
+  a lower precision.
 - `qpoch` builds (q;q)_n from 1, one shift-and-subtract per factor,
   and keeps nothing between calls.
 
@@ -223,54 +223,44 @@ class QSeries(Frozen):
                     out[i + j] += ca * cb
         return _from_array(lead, out, prec)
 
-    def inverse(self) -> QSeries:
-        """Multiplicative inverse; requires lead 0 and constant term +-1."""
-        return _solve_inverse(self, None)
+    def inverse(self, *, known: QSeries | None = None) -> QSeries:
+        """Multiplicative inverse; requires lead 0 and constant term +-1.
 
-    def extend_inverse(self, known: QSeries) -> QSeries:
-        """The inverse of self, resumed from `known`, its inverse to a
-        lower precision.  Coefficient k of the recursion depends only on
-        the lower coefficients of the inverse and on those of self, and
-        neither changes with the precision: the known ones are kept and
-        only the new ones are solved."""
-        return _solve_inverse(self, known)
+        Given `known`, the inverse to a lower precision, the recursion
+        resumes past it: coefficient k depends only on lower coefficients
+        of the inverse and of self, which do not change with the
+        precision, so the known ones are kept."""
+        if not self.coeffs or self.lead != 0:
+            raise ValueError("inverse requires a series with lead 0")
+        a0 = self.coeffs[0]
+        if a0 not in (1, -1):
+            raise ValueError(
+                "inverse requires constant term +1 or -1 "
+                "(anything else forces rational coefficients)"
+            )
+        n = self.prec
+        terms = [(j, aj) for j, aj in enumerate(self.coeffs) if j and aj]
+        # with every exponent of the divisor a multiple of `step`, so is
+        # every exponent of the inverse; the others stay zero
+        step = gcd(*(j for j, _ in terms)) or n
+        out = [0] * n
+        out[0], start = a0, step
+        if known is not None:
+            if not known.coeffs or known.lead != 0 or known.prec > n:
+                raise ValueError("a resumed inverse must start at lead 0 below prec")
+            out[: known.prec] = known.coeffs
+            start = -(-known.prec // step) * step
+        for k in range(start, n, step):
+            acc = 0
+            for j, aj in terms:
+                if j > k:
+                    break
+                acc += aj * out[k - j]
+            out[k] = -a0 * acc
+        return _from_array(0, out, n)
 
     def __str__(self) -> str:
         return format_series(self)
-
-
-def _solve_inverse(a: QSeries, known: QSeries | None) -> QSeries:
-    """1/a by the triangular recursion over the nonzero coefficients of
-    a, starting past the coefficients of `known` (1/a to a lower
-    precision) if given."""
-    if not a.coeffs or a.lead != 0:
-        raise ValueError("inverse requires a series with lead 0")
-    a0 = a.coeffs[0]
-    if a0 not in (1, -1):
-        raise ValueError(
-            "inverse requires constant term +1 or -1 "
-            "(anything else forces rational coefficients)"
-        )
-    n = a.prec
-    terms = [(j, aj) for j, aj in enumerate(a.coeffs) if j and aj]
-    # with every exponent of the divisor a multiple of `step`, so is
-    # every exponent of the inverse; the others stay zero
-    step = gcd(*(j for j, _ in terms)) or n
-    out = [0] * n
-    out[0], start = a0, step
-    if known is not None:
-        if not known.coeffs or known.lead != 0 or known.prec > n:
-            raise ValueError("a resumed inverse must start at lead 0 below prec")
-        out[: known.prec] = known.coeffs
-        start = -(-known.prec // step) * step
-    for k in range(start, n, step):
-        acc = 0
-        for j, aj in terms:
-            if j > k:
-                break
-            acc += aj * out[k - j]
-        out[k] = -a0 * acc
-    return _from_array(0, out, n)
 
 
 def _from_array(lead: int, out: list[int], prec: int) -> QSeries:
@@ -440,13 +430,9 @@ def equal_to_order(a: QSeries, b: QSeries, order: int) -> bool:
             f"comparison to half-exponent {order} needs precision >= {order} "
             f"on both sides (have {a.prec} and {b.prec})"
         )
-    if not a.coeffs and not b.coeffs:
-        return True
-    lo = min(a.lead, b.lead)
-    for h in range(lo, order):
-        if a.coefficient(h) != b.coefficient(h):
-            return False
-    return True
+    # a truncation of a canonical series is canonical, so equal
+    # coefficients below `order` mean equal fields
+    return a.truncated(order) == b.truncated(order)
 
 
 def qpoch(n: int, prec: int) -> QSeries:

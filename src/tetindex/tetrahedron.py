@@ -95,9 +95,7 @@ def _body(a: int, b: int, prec: int) -> QSeries:
     if cached is None or cached.prec < prec:
         # the row, cold or resumed; bench/run.py pins series.mul on this product by 1
         poch = qpoch(0, prec) * qpoch(d, prec)
-        cached = _body_cache[(0, d)] = (
-            poch.inverse() if cached is None else poch.extend_inverse(cached)
-        )
+        cached = _body_cache[(0, d)] = poch.inverse(known=cached)
     while j < a:
         j += 1
         out = list(cached.coeffs[:prec])

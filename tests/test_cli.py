@@ -612,11 +612,12 @@ class TestQuickParse:
             assert cli._quick_parse("tet", args) is None
         assert _argparse_parse("tet", args) == want
 
-    def test_string_defaults_pass_through_the_type(self):
+    def test_defaults_are_parsed_values(self):
+        # both parse paths take --steps and --m-range defaults as they are
         args = ["--n0", "0", "--t", "1", "--prec", "6"]
         ns = cli._quick_parse("bailey", args)
         assert ns == _argparse_parse("bailey", args)
-        assert (ns.steps, ns.m_range) == ([], (-3, 3))
+        assert (ns.steps, ns.m_range) == ((), (-3, 3))
 
 
 class TestCommands:

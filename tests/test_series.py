@@ -57,6 +57,25 @@ def random_series(draw):
 
 
 @st.composite
+def series_pair(draw):
+    """Two series, often equal to some order: the second is drawn on its
+    own, or copies the first from another lead to another precision
+    (fresh coefficients past the first's) with at most one changed."""
+    a = draw(random_series())
+    if draw(st.booleans()):
+        return a, draw(random_series())
+    prec = a.prec + draw(st.integers(-3, 3))
+    lo = min(a.lead, prec) - draw(st.integers(0, 3))
+    coeffs = [
+        a.coefficient(h) if h < a.prec else draw(st.integers(-2, 2))
+        for h in range(lo, prec)
+    ]
+    if coeffs and draw(st.booleans()):
+        coeffs[draw(st.integers(0, len(coeffs) - 1))] += draw(st.sampled_from((-1, 1)))
+    return a, series(lo, coeffs, prec)
+
+
+@st.composite
 def long_series(draw, lead=None, unit=False):
     """Up to 120 coefficients of up to 10^40, so products of two such
     series reach the Kronecker path.  With stride 2 every odd offset from
@@ -365,19 +384,35 @@ class TestInverse:
     def test_extended_inverse_equals_cold_inverse(self, a, cut):
         # resumed from any shorter inverse, including a step-aligned one
         known = a.truncated(min(cut, a.prec)).inverse()
-        assert a.extend_inverse(known) == a.inverse()
+        assert a.inverse(known=known) == a.inverse()
 
     @pytest.mark.parametrize("n", [0, 1, 5, 40])
     def test_extended_row_equals_cold_row(self, n):
         for lo, hi in [(1, 2), (7, 160), (40, 41), (160, 160)]:
-            row = qpoch(n, hi).extend_inverse(qpoch(n, lo).inverse())
+            row = qpoch(n, hi).inverse(known=qpoch(n, lo).inverse())
             assert row == qpoch(n, hi).inverse()
 
     def test_extension_rejects_a_foreign_prefix(self):
-        with pytest.raises(ValueError):
-            qpoch(3, 10).extend_inverse(qpoch(3, 12).inverse())
-        with pytest.raises(ValueError):
-            qpoch(3, 10).extend_inverse(zero(0))
+        message = "a resumed inverse must start at lead 0 below prec"
+        for known in (qpoch(3, 12).inverse(), zero(0), monomial(1, 2, 6)):
+            with pytest.raises(ValueError, match=message):
+                qpoch(3, 10).inverse(known=known)
+        # the divisor is checked first, with the errors of a cold inverse
+        with pytest.raises(ValueError, match="inverse requires constant term"):
+            series(0, [2, 1], 6).inverse(known=one(4))
+
+    def test_known_is_keyword_only(self):
+        # bench/spans.py counts an inversion's work from its positional
+        # arguments alone, the divisor
+        with pytest.raises(TypeError):
+            qpoch(3, 10).inverse(qpoch(3, 4).inverse())
+
+    @pytest.mark.parametrize("n", [10, 20, 34])
+    def test_row_resumed_from_every_cut_equals_cold_row(self, n):
+        row = qpoch(n, 160)
+        cold = row.inverse()
+        for cut in range(1, 161):
+            assert row.inverse(known=cold.truncated(cut)) == cold, cut
 
 
 def dense_unit(rng, n, a0, stride):
@@ -420,7 +455,7 @@ class TestDenseInverse:
     def test_extended_dense_inverse_equals_cold_inverse(self, a0, cut):
         # cuts at the first coefficient, odd and even ones and n - 1
         a, cold = _dense_600(a0)
-        assert a.extend_inverse(a.truncated(cut).inverse()) == cold
+        assert a.inverse(known=a.truncated(cut).inverse()) == cold
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -434,7 +469,7 @@ class TestDenseInverse:
         a = dense_unit(rng, n, a0, stride)
         cut = data.draw(st.integers(1, n), label="cut")
         cold = a.inverse()
-        assert a.extend_inverse(a.truncated(cut).inverse()) == cold
+        assert a.inverse(known=a.truncated(cut).inverse()) == cold
         assert same_to_order(dict_inv(series_to_dict(a), n), cold, n)
 
     @pytest.mark.parametrize("n", [10, 20, 34])
@@ -460,6 +495,24 @@ class TestEqualToOrder:
         b = one(10) + monomial(1, 5, 10)
         with pytest.raises(PrecisionError):
             equal_to_order(a, b, 12)
+
+    @settings(max_examples=400)
+    @given(series_pair(), st.data())
+    def test_agrees_with_a_coefficient_scan(self, pair, data):
+        # orders below, at and above both leads, and past either precision
+        a, b = pair
+        lo = min(a.lead, b.lead)
+        order = data.draw(st.integers(lo - 3, max(a.prec, b.prec) + 2), label="order")
+        if order > min(a.prec, b.prec):
+            with pytest.raises(PrecisionError) as err:
+                equal_to_order(a, b, order)
+            assert str(err.value) == (
+                f"comparison to half-exponent {order} needs precision >= {order} "
+                f"on both sides (have {a.prec} and {b.prec})"
+            )
+            return
+        scan = all(a.coefficient(h) == b.coefficient(h) for h in range(lo, order))
+        assert equal_to_order(a, b, order) == scan
 
 
 class TestQPoch:

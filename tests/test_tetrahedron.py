@@ -320,13 +320,13 @@ class TestOrbit:
         tet_index(-3, 3, 40)
         low = tetrahedron._body_cache[(0, 3)]
         resumed = []
-        extend = QSeries.extend_inverse
+        inverse = QSeries.inverse
 
-        def spy(self, known):
+        def spy(self, *, known=None):
             resumed.append(known)
-            return extend(self, known)
+            return inverse(self, known=known)
 
-        monkeypatch.setattr(QSeries, "extend_inverse", spy)
+        monkeypatch.setattr(QSeries, "inverse", spy)
         tet_index(-3, 3, 160)
         assert len(resumed) == 1 and resumed[0] is low
         body = tetrahedron._body_cache[(0, 3)]
@@ -369,13 +369,13 @@ class TestOrbit:
         # asked for past their cached predecessors: each walks down its
         # diagonal to a row, and no divisor is (q;q)_a (q;q)_b with a > 0
         divisors = []
-        solve = series._solve_inverse
+        inverse = QSeries.inverse
 
-        def spy(a, known):
-            divisors.append(a)
-            return solve(a, known)
+        def spy(self, *, known=None):
+            divisors.append(self)
+            return inverse(self, known=known)
 
-        monkeypatch.setattr(series, "_solve_inverse", spy)
+        monkeypatch.setattr(QSeries, "inverse", spy)
         clear_caches()
         for m in range(-6, 7):
             for e in range(-6, 7):
