@@ -68,10 +68,9 @@ class BaileyState:
 
     @property
     def window_extents(self) -> dict[tuple[int, int], int]:
-        """The step windows summed so far on this state's history, per
-        (depth, m)."""
-        h = self.history
-        return {(len(p), m): w for (p, m), w in self._windows.items() if h[: len(p)] == p}
+        """The step windows of this state's own level, per (depth, m), each
+        at the precision its beta is memoized to."""
+        return {(self.depth, m): w for (p, m), w in self._windows.items() if p == self.history}
 
     @property
     def t(self) -> int:
@@ -87,20 +86,14 @@ class BaileyState:
     def _t_at(self, depth: int) -> int:
         return self.t0 + sum(self.history[:depth])
 
-    def _levels(self, n: int, depth: int):
-        """Kernel charges of the first `depth` steps, for the alpha at
-        index n."""
-        t, out = self.t0, []
-        for s in self.history[:depth]:
-            out.append((3 * t - s + n, 2 * s - t - n))
-            t += s
-        return out
-
     def _alpha_products(self, n: int, depth: int):
         """alpha_n after the first `depth` steps as charge products
         (charges, pref_h, c), one per monomial c q^(h/2) of the seed,
         each step a factor (-1)^n q^(-n/2) I(3t-s+n, 2s-t-n)."""
-        charges = self._levels(n, depth)
+        t, charges = self.t0, []
+        for s in self.history[:depth]:
+            charges.append((3 * t - s + n, 2 * s - t - n))
+            t += s
         sign = -1 if n * depth % 2 else 1
         return [(charges, h - n * depth, sign * c) for h, c in self.seed.get(n, ())]
 
@@ -187,6 +180,15 @@ class BaileyState:
             total = total + (term * self._beta(depth - 1, k, prec - d)).truncated(prec)
         return total
 
+    def _window(self, m: int, prec: int) -> int:
+        """This level's step window for beta(m) at `prec`, 0 at depth 0: the
+        memo's, unless beta is memoized above `prec`, whose window was
+        certified at that higher precision."""
+        if self.depth and self._beta_cache[self.history, m].prec > prec:
+            members = self._window_members(self.depth, m)
+            return _members_window(members, prec, "Bailey step window")
+        return self._windows.get((self.history, m), 0)
+
     def _beta_lead_lb(self, depth: int, m: int):
         """Lower bound for beta's minimal degree, the least degree of the
         terms of its kernel sum (infinite for an empty support, where
@@ -228,8 +230,8 @@ def bailey_verify(
 ) -> CheckReport:
     """Check the defining relation beta_m = sum_n I(t, n+m) alpha_n for
     every m in the inclusive range, which must not be empty.  The report
-    carries the widest step window summed so far on the state's history,
-    at this level or below, 0 for none."""
+    carries the widest step window of its own level at `prec` over the
+    checked m, 0 at depth 0, whatever states were checked before."""
     lo, hi = m_range
     if lo > hi:
         raise ValueError(f"empty m range {lo}..{hi}: lo must not exceed hi")
@@ -237,15 +239,11 @@ def bailey_verify(
         (state.beta(m, prec), state._kernel_sum(state.depth, m, prec))
         for m in range(lo, hi + 1)
     ]
-    return compare_series(pairs, prec, max(state.window_extents.values(), default=0))
+    return compare_series(pairs, prec, max(state._window(m, prec) for m in range(lo, hi + 1)))
 
 
 def bailey_chain(
-    n0: int,
-    t: int,
-    steps,
-    m_range: tuple[int, int],
-    prec: int,
+    n0: int, t: int, steps, m_range: tuple[int, int], prec: int
 ) -> list[CheckReport]:
     """Seed a delta pair, then alternate stepping and verification.
     Returns one report per level, the seed included."""

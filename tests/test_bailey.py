@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies
 
 from oracle import dict_add, dict_mul, dict_scale, naive_tet_index, same_to_order
 from tetindex import bailey
@@ -250,9 +252,9 @@ class TestVerify:
         [(0, 1, [1, -1, 2, 0, 1, -1], (-3, 3), 12), (2, 1, [-2, 1], (-2, 2), 8)],
     )
     def test_each_level_reports_its_widest_step_window(self, n0, t, steps, m_range, prec):
-        # the states of a chain share one memo: right after its check, a
-        # level's view holds the windows of its own level and of every
-        # level below it summed so far, and its report carries the widest
+        # the states of a chain share one memo, but right after its check
+        # a level's view holds its own level's windows only, one per
+        # checked m, and its report carries the widest of them
         state = bailey_seed_delta(n0, t)
         reports, views = [bailey_verify(state, m_range, prec)], [state.window_extents]
         for s in steps:
@@ -260,14 +262,98 @@ class TestVerify:
             reports.append(bailey_verify(state, m_range, prec))
             views.append(state.window_extents)
         assert reports == bailey_chain(n0, t, steps, m_range, prec)
-        windows = [max(view.values(), default=0) for view in views]
-        assert [r.window for r in reports] == windows
         lo, hi = m_range
-        for depth, view in enumerate(views):
-            assert all(level <= depth for level, _ in view)
-            if depth:
-                assert {(depth, m) for m in range(lo, hi + 1)} <= set(view)
-        assert all(r.holds for r in reports) and windows[0] == 0 and max(windows) >= 1
+        checked = range(lo, hi + 1)
+        assert views[0] == {} and reports[0].window == 0
+        for depth, (view, report) in enumerate(zip(views[1:], reports[1:]), 1):
+            assert set(view) == {(depth, m) for m in checked}
+            assert report.window == max(view[depth, m] for m in checked)
+        assert all(r.holds for r in reports) and max(r.window for r in reports) >= 1
+
+    @pytest.mark.parametrize(
+        "prec, windows", [(12, [0, 2, 0, 0, 0, 0, 0]), (160, [0, 39, 19, 29, 13, 6, 0])]
+    )
+    def test_depth_six_windows_per_level(self, prec, windows):
+        # each level's own step window: no level repeats a lower level's
+        reports = bailey_chain(0, 1, [1, -1, 2, 0, 1, -1], (-3, 3), prec)
+        assert [r.window for r in reports] == windows
+        assert all(r.holds for r in reports)
+
+    @staticmethod
+    def _windows_in_order(n0, t, histories, order, m_range, prec):
+        """Check the states of `histories`, all stepped from one seed and
+        so sharing its memo, in the given order; their windows, by
+        history."""
+        seed, states, windows = bailey_seed_delta(n0, t), {}, {}
+
+        def state(history):
+            if history not in states:
+                parent = state(history[:-1]) if len(history) > 1 else seed
+                states[history] = bailey_step(parent, history[-1])
+            return states[history]
+
+        for history in order:
+            report = bailey_verify(state(history), m_range, prec)
+            assert report.holds, history
+            assert all(level == len(history) for level, _ in state(history).window_extents)
+            windows[history] = report.window
+        return windows
+
+    def test_sibling_windows_in_every_order(self):
+        # a child's step sums ask for its parent's betas, and siblings
+        # share one memo: in all 24 orders of check the four states read
+        # one set of windows
+        histories = [(1,), (1, 2), (-1,), (-1, 2)]
+        seen = {
+            tuple(sorted(self._windows_in_order(0, 1, histories, order, (-2, 2), 40).items()))
+            for order in itertools.permutations(histories)
+        }
+        assert seen == {(((-1,), 6), ((-1, 2), 4), ((1,), 9), ((1, 2), 4))}
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n0=strategies.integers(-2, 2),
+        t=strategies.integers(-2, 2),
+        tree=strategies.lists(
+            strategies.tuples(
+                strategies.integers(-2, 2),
+                strategies.lists(strategies.integers(-2, 2), max_size=2, unique=True),
+            ),
+            min_size=1, max_size=2, unique_by=lambda child: child[0],
+        ),
+        prec=strategies.integers(4, 30),
+        data=strategies.data(),
+    )
+    def test_two_level_tree_windows_in_any_order(self, n0, t, tree, prec, data):
+        # a child checked before its parent asks for the parent's betas,
+        # at times above the parent's check precision: every state still
+        # reads the window it reads when checked alone from a fresh seed
+        histories = [h for s, grand in tree for h in [(s,), *((s, g) for g in grand)]]
+        order = data.draw(strategies.permutations(histories))
+        windows = self._windows_in_order(n0, t, histories, order, (-2, 2), prec)
+        for history in histories:
+            alone = self._windows_in_order(n0, t, [history], [history], (-2, 2), prec)
+            assert windows[history] == alone[history], history
+
+    def test_child_checked_before_its_parent(self):
+        # checked first, the child sums the parent's betas above H=14,
+        # the precision the parent is then checked at
+        histories = [(0,), (0, 0)]
+        in_order = self._windows_in_order(0, -1, histories, histories, (-2, 2), 14)
+        child_first = self._windows_in_order(0, -1, histories, histories[::-1], (-2, 2), 14)
+        assert in_order == child_first == {(0,): 2, (0, 0): 2}
+
+    def test_check_below_the_memo_precision(self):
+        # a state checked again at a lower precision reports that
+        # precision's window; its view keeps the windows its betas were
+        # summed at
+        state = bailey_step(bailey_seed_delta(0, 1), 1)
+        high = bailey_verify(state, (-2, 2), 40).window
+        view = state.window_extents
+        low = bailey_verify(state, (-2, 2), 12).window
+        fresh = bailey_verify(bailey_step(bailey_seed_delta(0, 1), 1), (-2, 2), 12).window
+        assert (high, low) == (9, fresh) and low < high
+        assert state.window_extents == view and max(view.values()) == high
 
     def test_interleaved_siblings_equal_fresh_chains(self):
         # two children of one parent share its memo, keyed apart by their

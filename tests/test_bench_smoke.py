@@ -1,4 +1,5 @@
-"""The benchmark's traced smoke runs, as the CI makes them.
+"""The benchmark's traced smoke runs: one untraced and two traced passes
+of each workload, whatever --seconds says.
 
 A traced run fails when a layer function it wraps by name is gone or no
 longer called (bench/run.py's `REQUIRED` spans), or when a job's output

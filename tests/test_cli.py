@@ -399,6 +399,45 @@ class TestEvalFileEndToEnd:
         assert len(a["series"]["coeffs"]) > 1
 
 
+class TestBaileyEndToEnd:
+    """Bailey chains through `python -m tetindex bailey` in a fresh
+    interpreter, with a RuntimeWarning fatal so that no bound that warns
+    creeps back: every level holds, in text and in JSON, and JSON
+    `meta.window` is the widest step window of any level, each level's
+    own over the checked m."""
+
+    @pytest.mark.parametrize(
+        "argv, levels, window",
+        [
+            # the deepest documented chain
+            ("--n0 0 --t 1 --steps=1,-1,2,0,1,-1 --m-range=-3..3 --prec 12", 7, 2),
+            # its depth-2 step needs beta_1(-3), a term a heuristic beta
+            # degree bound once dropped
+            ("--n0 2 --t 1 --steps=-2,1 --m-range=-2..2 --prec 8", 3, 3),
+            # from an odd seed point the sign (-1)^n of each step's alpha
+            # factor alternates
+            ("--n0 1 --t 0 --steps=1,-1,2,0,1 --m-range=-3..3 --prec 10", 6, 3),
+        ],
+        ids=["depth-6", "certified-step", "odd-seed"],
+    )
+    def test_every_level_holds(self, argv, levels, window):
+        src = os.path.dirname(os.path.dirname(tetindex.__file__))
+        procs = [
+            subprocess.run(
+                [sys.executable, "-X", "dev", "-W", "error::RuntimeWarning", "-m",
+                 "tetindex", "bailey", *argv.split(), *fmt],
+                capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+                check=False, timeout=120,
+            )
+            for fmt in ((), ("--format", "json"))
+        ]
+        assert [p.returncode for p in procs] == [0, 0], [p.stderr for p in procs]
+        text, rec = procs[0].stdout, json.loads(procs[1].stdout)
+        assert text.count("holds to order") == levels, text
+        assert len(rec["reports"]) == levels and all(r["holds"] for r in rec["reports"])
+        assert rec["meta"]["window"] == window, rec["meta"]
+
+
 class TestDispatch:
     """An argv that starts with a command is parsed by that command's
     parser; any other argv by the top-level parser."""
@@ -655,15 +694,26 @@ class TestCommands:
             (("--n0", "0", "--t", "1", "--steps=1,-1,2,0,1,-1", "--m-range=-3..3",
               "--prec", "12"), 7, 2),
             (("--n0", "2", "--t", "1", "--steps=-2,1", "--m-range=-2..2",
-              "--prec", "8"), 3, 4),
+              "--prec", "8"), 3, 3),
         ],
     )
     def test_bailey_window_is_the_widest_level(self, capsys, argv, levels, window):
+        # each level reports its own step window over the checked m, and
+        # meta.window is the widest of them; the second chain's last step
+        # sums beta_1(-3), outside the checked range, over a window of 4,
+        # which no level reports
         code, out, _ = invoke(capsys, "bailey", *argv, "--format", "json")
         rec = json.loads(out)
         assert code == 0 and len(rec["reports"]) == levels
         assert all(r["holds"] for r in rec["reports"])
         assert rec["meta"]["window"] == window
+        ns = cli._quick_parse("bailey", list(argv))
+        state = bailey.bailey_seed_delta(ns.n0, ns.t)
+        for s in ns.steps:
+            state = bailey.bailey_step(state, s)
+            report = bailey.bailey_verify(state, ns.m_range, ns.prec)
+            assert {level for level, _ in state.window_extents} == {state.depth}
+            assert report.window <= window
 
     def test_ind41_json_has_box(self, capsys):
         code, out, _ = invoke(capsys, "ind41", "--prec", "10", "--format", "json")
