@@ -1,12 +1,13 @@
 """Bailey pairs with respect to the tetrahedron-index kernel.
 
 A state holds a finite-support family alpha (seed values are exact
-Laurent polynomials in q^(1/2)) together with the integer parameter t
-and the history of applied step parameters.  beta is never materialized:
-it is defined by the pair relation at depth 0 and by the step transform
-at each deeper level, and is computed lazily into one memo per seed,
-keyed by (history prefix, charge) and shared by every state stepped
-from that seed, so a chain computes each level once.
+Laurent polynomials in q^(1/2)) together with the integer parameter t;
+a stepped state also holds its parent, the state one step below it.
+beta is never materialized: it is defined by the pair relation at
+depth 0 and by the step transform of the parent's betas at each deeper
+level, and is computed lazily into the state's own memo, keyed by
+charge.  The states stepped from one parent read its one memo, so a
+chain or a tree computes each level once.
 
 The step transform multiplies alpha_n pointwise by
     (-1)^n q^(-n/2) I(3t - s + n, 2s - t - n)
@@ -51,30 +52,26 @@ __all__ = [
 
 
 class BaileyState:
-    """Immutable snapshot of a Bailey pair at parameter t0 + sum(history)."""
+    """Immutable snapshot of a Bailey pair at parameter t: a seed, or one
+    step of t - parent.t from `parent`, whose level it reads."""
 
-    def __init__(self, t0, seed, history=(), memo=None):
+    def __init__(self, t, seed, parent=None):
         # seed: mapping n -> Laurent polynomial ((half_exp, coeff), ...)
-        self.t0 = t0
+        self.t, self.parent = t, parent
         self.seed = {
             n: tuple(sorted((h, c) for h, c in poly if c))
             for n, poly in seed.items()
             if any(c for _, c in poly)
         }
-        self.history = tuple(history)
-        # beta, its degree bound and the step window per (history prefix,
-        # m), shared by every state stepped from this one's seed
-        self._beta_cache, self._beta_lb, self._windows = memo or ({}, {}, {})
+        self.history = () if parent is None else parent.history + (t - parent.t,)
+        # beta, its degree bound and the step window of this level, per m
+        self._beta_cache, self._beta_lb, self._windows = {}, {}, {}
 
     @property
     def window_extents(self) -> dict[tuple[int, int], int]:
         """The step windows of this state's own level, per (depth, m), each
         at the precision its beta is memoized to."""
-        return {(self.depth, m): w for (p, m), w in self._windows.items() if p == self.history}
-
-    @property
-    def t(self) -> int:
-        return self._t_at(self.depth)
+        return {(self.depth, m): w for m, w in self._windows.items()}
 
     @property
     def depth(self) -> int:
@@ -83,123 +80,106 @@ class BaileyState:
     def support(self):
         return tuple(sorted(self.seed))
 
-    def _t_at(self, depth: int) -> int:
-        return self.t0 + sum(self.history[:depth])
+    def _alpha_products(self, n: int):
+        """alpha_n as charge products (charges, pref_h, c), one per
+        monomial c q^(h/2) of the seed, each step a factor
+        (-1)^n q^(-n/2) I(3t-s+n, 2s-t-n)."""
+        if self.parent is None:
+            return [([], h, c) for h, c in self.seed.get(n, ())]
+        t, s = self.parent.t, self.t - self.parent.t
+        step, sign = (3 * t - s + n, 2 * s - t - n), -1 if n % 2 else 1
+        return [([*ch, step], h - n, sign * c) for ch, h, c in self.parent._alpha_products(n)]
 
-    def _alpha_products(self, n: int, depth: int):
-        """alpha_n after the first `depth` steps as charge products
-        (charges, pref_h, c), one per monomial c q^(h/2) of the seed,
-        each step a factor (-1)^n q^(-n/2) I(3t-s+n, 2s-t-n)."""
-        t, charges = self.t0, []
-        for s in self.history[:depth]:
-            charges.append((3 * t - s + n, 2 * s - t - n))
-            t += s
-        sign = -1 if n * depth % 2 else 1
-        return [(charges, h - n * depth, sign * c) for h, c in self.seed.get(n, ())]
-
-    def _kernel_products(self, depth: int, m: int):
-        """The terms I(t, n+m) alpha_n of the kernel sum as charge
-        products, with t and alpha taken after the first `depth` steps."""
-        t = self._t_at(depth)
+    def _kernel_products(self, m: int):
+        """The terms I(t, n+m) alpha_n of the kernel sum as charge products."""
         return [
-            ([(t, n + m), *charges], h, c)
+            ([(self.t, n + m), *charges], h, c)
             for n in self.support()
-            for charges, h, c in self._alpha_products(n, depth)
+            for charges, h, c in self._alpha_products(n)
         ]
 
-    def _alpha_lead(self, n: int, depth: int) -> int:
-        """The minimal degree of alpha_n after the first `depth` steps,
-        for n in the support: its lowest monomial's, exact."""
-        return min(term_degree(ch, h) for ch, h, _ in self._alpha_products(n, depth))
+    def _alpha_lead(self, n: int) -> int:
+        """The minimal degree of alpha_n, for n in the support: its lowest
+        monomial's, exact."""
+        return min(term_degree(ch, h) for ch, h, _ in self._alpha_products(n))
 
     def alpha(self, n: int, prec: int) -> QSeries:
         """alpha_n at the current parameter, truncated at `prec`."""
-        return sum_products(self._alpha_products(n, self.depth), prec)
+        return sum_products(self._alpha_products(n), prec)
 
     # -- beta -----------------------------------------------------------
 
     def beta(self, k: int, prec: int) -> QSeries:
-        """beta_k at the current parameter, via the defining sum (depth 0)
-        and the step transform at each deeper level."""
-        return self._beta(self.depth, k, prec)
-
-    def _beta(self, depth: int, m: int, prec: int) -> QSeries:
-        key = (self.history[:depth], m)
-        cached = self._beta_cache.get(key)
+        """beta_k at the current parameter, via the defining sum (a seed)
+        or the step transform of the parent's betas, memoized."""
+        cached = self._beta_cache.get(k)
         if cached is not None and cached.prec >= prec:
             return cached.truncated(prec)
-        if depth == 0:
-            s = self._kernel_sum(0, m, prec)
-        else:
-            s = self._beta_step(depth, m, prec)
-        self._beta_cache[key] = s
+        s = self._kernel_sum(k, prec) if self.parent is None else self._beta_step(k, prec)
+        self._beta_cache[k] = s
         return s
 
-    def _kernel_sum(self, depth: int, m: int, prec: int) -> QSeries:
-        """sum_n I(t, n+m) alpha_n, with t and alpha taken after the
-        first `depth` steps."""
-        return sum_products(self._kernel_products(depth, m), prec)
+    def _kernel_sum(self, m: int, prec: int) -> QSeries:
+        """sum_n I(t, n+m) alpha_n."""
+        return sum_products(self._kernel_products(m), prec)
 
-    def _pentagon_args(self, depth: int, m: int):
+    def _pentagon_args(self, m: int):
         """(m1, m2, e1, e2) = (2t-2s-m, m+2s-t, 2s-t, -m-s-t): at e0 = n,
         the shifted pentagon's sum over k is (-1)^m q^m times the step
-        sum for beta_depth(m) with I(t, n+k) for beta(k), t = m1 + m2
-        the parameter before the step and s the step."""
-        t, s = self._t_at(depth - 1), self.history[depth - 1]
+        sum for beta(m) with I(t, n+k) for the parent's beta(k), t = m1 + m2
+        the parent's parameter and s the step."""
+        t, s = self.parent.t, self.t - self.parent.t
         return 2 * t - 2 * s - m, m + 2 * s - t, 2 * s - t, -m - s - t
 
-    def _step_charges(self, depth: int, m: int, k: int):
-        m1, m2, e1, e2 = self._pentagon_args(depth, m)
+    def _step_charges(self, m: int, k: int):
+        m1, m2, e1, e2 = self._pentagon_args(m)
         return (m1, e1 + k), (m2, e2 + k)
 
-    def _window_members(self, depth: int, m: int):
+    def _window_members(self, m: int):
         """One rank-1 sum per seed point n, whose term at k starts at the
         step term's bound at k against n alone."""
-        m1, m2, e1, e2 = self._pentagon_args(depth, m)
+        m1, m2, e1, e2 = self._pentagon_args(m)
         return [
-            _pentagon_sum(m1, m2, e1, e2, n, self._alpha_lead(n, depth - 1) - m)
+            _pentagon_sum(m1, m2, e1, e2, n, self.parent._alpha_lead(n) - m)
             for n in self.support()
         ]
 
-    def _beta_step(self, depth: int, m: int, prec: int) -> QSeries:
+    def _beta_step(self, m: int, prec: int) -> QSeries:
         """The step sum over k of the charge product
-        (-1)^m q^((2k-m)/2) I(ch1) I(ch2) times beta_{depth-1}(k): the
+        (-1)^m q^((2k-m)/2) I(ch1) I(ch2) times the parent's beta(k): the
         product to `prec` less beta's degree bound, beta to `prec` less
         the product's degree."""
-        extent = self._windows[(self.history[:depth], m)] = _members_window(
-            self._window_members(depth, m), prec, "Bailey step window"
+        extent = self._windows[m] = _members_window(
+            self._window_members(m), prec, "Bailey step window"
         )
-        sign = -1 if m % 2 else 1
+        parent, sign = self.parent, -1 if m % 2 else 1
         total = zero(prec)
         for k in range(-extent, extent + 1):
-            charges, pref = self._step_charges(depth, m, k), 2 * k - m
-            d, lb = term_degree(charges, pref), self._beta_lead_lb(depth - 1, k)
+            charges, pref = self._step_charges(m, k), 2 * k - m
+            d, lb = term_degree(charges, pref), parent._beta_lead_lb(k)
             if d + lb >= prec:  # the term starts at or above prec
                 continue
             term = charge_product(charges, pref, sign, prec - lb)
-            total = total + (term * self._beta(depth - 1, k, prec - d)).truncated(prec)
+            total = total + (term * parent.beta(k, prec - d)).truncated(prec)
         return total
 
     def _window(self, m: int, prec: int) -> int:
-        """This level's step window for beta(m) at `prec`, 0 at depth 0: the
+        """This level's step window for beta(m) at `prec`, 0 for a seed: the
         memo's, unless beta is memoized above `prec`, whose window was
         certified at that higher precision."""
-        if self.depth and self._beta_cache[self.history, m].prec > prec:
-            members = self._window_members(self.depth, m)
-            return _members_window(members, prec, "Bailey step window")
-        return self._windows.get((self.history, m), 0)
+        if self.parent is not None and self._beta_cache[m].prec > prec:
+            return _members_window(self._window_members(m), prec, "Bailey step window")
+        return self._windows.get(m, 0)
 
-    def _beta_lead_lb(self, depth: int, m: int):
+    def _beta_lead_lb(self, m: int):
         """Lower bound for beta's minimal degree, the least degree of the
         terms of its kernel sum (infinite for an empty support, where
         beta is zero)."""
-        key = (self.history[:depth], m)
-        if key not in self._beta_lb:
-            self._beta_lb[key] = min(
-                (term_degree(ch, h) for ch, h, _ in self._kernel_products(depth, m)),
-                default=inf,
+        if m not in self._beta_lb:
+            self._beta_lb[m] = min(
+                (term_degree(ch, h) for ch, h, _ in self._kernel_products(m)), default=inf
             )
-        return self._beta_lb[key]
+        return self._beta_lb[m]
 
 
 def bailey_seed_delta(n0: int, t: int) -> BaileyState:
@@ -217,8 +197,7 @@ def bailey_seed(t: int, alpha) -> BaileyState:
 def bailey_step(state: BaileyState, s: int) -> BaileyState:
     """New state at parameter t + s; alpha transforms pointwise, so the
     support never grows.  `s` is appended to the history."""
-    memo = (state._beta_cache, state._beta_lb, state._windows)
-    return BaileyState(state.t0, state.seed, state.history + (s,), memo)
+    return BaileyState(state.t + s, state.seed, state)
 
 
 def bailey_beta(state: BaileyState, k: int, prec: int) -> QSeries:
@@ -236,7 +215,7 @@ def bailey_verify(
     if lo > hi:
         raise ValueError(f"empty m range {lo}..{hi}: lo must not exceed hi")
     pairs = [
-        (state.beta(m, prec), state._kernel_sum(state.depth, m, prec))
+        (state.beta(m, prec), state._kernel_sum(m, prec))
         for m in range(lo, hi + 1)
     ]
     return compare_series(pairs, prec, max(state._window(m, prec) for m in range(lo, hi + 1)))

@@ -7,7 +7,7 @@ Grammar (whitespace-insensitive, `#` starts a comment line in files):
     prefac  := "q^(" affine ")"
     factor  := "I(" affine "," affine ")"
     affine  := ["-"] term (("+"|"-") term)*
-    term    := [int ["/2"] "*"] var | int ["/2"]
+    term    := [int ["/2"] "*"] var | int ["/2"] | var "/2"
 
 Affine forms are stored in half-units so monomial prefactors with
 half-integer exponents (such as q^(k/2)) are exact; forms used as index

@@ -21,10 +21,17 @@ from tetindex.tetrahedron import tet_index
 
 
 def _widen_step_windows(monkeypatch):
-    """Make every Bailey step window of states built from now on reach 8
-    indices past its farthest low index."""
-    members_window = bailey._members_window
-    monkeypatch.setattr(bailey, "_members_window", lambda *args: members_window(*args) + 8)
+    """Make every Bailey step window certified from now on reach 8 indices
+    past its farthest low index; a beta already memoized keeps the window
+    it was summed with.  Returns the widened windows, one per certificate."""
+    members_window, widened = bailey._members_window, []
+
+    def wide(*args):
+        widened.append(members_window(*args) + 8)
+        return widened[-1]
+
+    monkeypatch.setattr(bailey, "_members_window", wide)
+    return widened
 
 
 class TestSeed:
@@ -117,7 +124,10 @@ class TestStep:
 
     def test_multipoint_laurent_seed_steps(self, monkeypatch):
         # the kernel sum over several seed points, at depth 0 and below
-        st = bailey_seed(0, {-1: ((0, 1),), 2: ((1, -3), (4, 2))})
+        def seed():
+            return bailey_seed(0, {-1: ((0, 1),), 2: ((1, -3), (4, 2))})
+
+        st = seed()
         for k in (-1, 0, 2):
             want = (
                 tet_index(0, k - 1, 8)
@@ -125,18 +135,18 @@ class TestStep:
                 + tet_index(0, k + 2, 4).scaled(2, 4)
             )
             assert equal_to_order(st.beta(k, 8), want, 8)
-        seed = st
 
         def stepped():
-            one = bailey_step(seed, 1)
+            one = bailey_step(seed(), 1)
             return [one, bailey_step(one, -1)]
 
         states = stepped()
         for st in states:
             assert bailey_verify(st, (-3, 3), 8).holds
         base = [st.beta(k, 8) for st in states for k in (-1, 0, 2)]
-        _widen_step_windows(monkeypatch)
+        widened = _widen_step_windows(monkeypatch)
         wide = [st.beta(k, 8) for st in stepped() for k in (-1, 0, 2)]
+        assert len(widened) == 6
         assert all(equal_to_order(a, b, 8) for a, b in zip(base, wide))
 
     def test_beta_memoization_transparent(self):
@@ -216,7 +226,7 @@ class TestMultipointAgainstOracle:
             for n, (alpha, low) in alphas.items():
                 kernel = naive_tet_index(t, n + m, self.H - low)
                 want = dict_add(want, dict_mul(kernel, alpha, self.H), self.H)
-            assert want and same_to_order(want, st._kernel_sum(depth, m, self.H), self.H), m
+            assert want and same_to_order(want, st._kernel_sum(m, self.H), self.H), m
 
 
 class TestVerify:
@@ -252,9 +262,9 @@ class TestVerify:
         [(0, 1, [1, -1, 2, 0, 1, -1], (-3, 3), 12), (2, 1, [-2, 1], (-2, 2), 8)],
     )
     def test_each_level_reports_its_widest_step_window(self, n0, t, steps, m_range, prec):
-        # the states of a chain share one memo, but right after its check
-        # a level's view holds its own level's windows only, one per
-        # checked m, and its report carries the widest of them
+        # each level's step sums read its parent's betas, but right after
+        # its check a level's view holds its own level's windows only, one
+        # per checked m, and its report carries the widest of them
         state = bailey_seed_delta(n0, t)
         reports, views = [bailey_verify(state, m_range, prec)], [state.window_extents]
         for s in steps:
@@ -280,10 +290,32 @@ class TestVerify:
         assert all(r.holds for r in reports)
 
     @staticmethod
+    def _count_sums(monkeypatch):
+        """Count the step sums and kernel sums of every state from now on."""
+        calls = {"_beta_step": 0, "_kernel_sum": 0}
+        for name in calls:
+            method = getattr(bailey.BaileyState, name)
+
+            def counted(*args, _name=name, _method=method):
+                calls[_name] += 1
+                return _method(*args)
+
+            monkeypatch.setattr(bailey.BaileyState, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("prec, steps, kernels", [(12, 42, 56), (160, 251, 167)])
+    def test_depth_six_sums_each_level_once(self, prec, steps, kernels, monkeypatch):
+        # the work of the depth-6 chain: a level whose betas were summed
+        # is not summed again for the level above it
+        calls = self._count_sums(monkeypatch)
+        bailey_chain(0, 1, [1, -1, 2, 0, 1, -1], (-3, 3), prec)
+        assert calls == {"_beta_step": steps, "_kernel_sum": kernels}
+
+    @staticmethod
     def _windows_in_order(n0, t, histories, order, m_range, prec):
-        """Check the states of `histories`, all stepped from one seed and
-        so sharing its memo, in the given order; their windows, by
-        history."""
+        """Check the states of `histories`, all stepped from one seed, one
+        state per history and each stepped from its parent's state, in the
+        given order; their windows, by history."""
         seed, states, windows = bailey_seed_delta(n0, t), {}, {}
 
         def state(history):
@@ -301,8 +333,8 @@ class TestVerify:
 
     def test_sibling_windows_in_every_order(self):
         # a child's step sums ask for its parent's betas, and siblings
-        # share one memo: in all 24 orders of check the four states read
-        # one set of windows
+        # share their parent: in all 24 orders of check the four states
+        # read one set of windows
         histories = [(1,), (1, 2), (-1,), (-1, 2)]
         seen = {
             tuple(sorted(self._windows_in_order(0, 1, histories, order, (-2, 2), 40).items()))
@@ -355,24 +387,28 @@ class TestVerify:
         assert (high, low) == (9, fresh) and low < high
         assert state.window_extents == view and max(view.values()) == high
 
-    def test_interleaved_siblings_equal_fresh_chains(self):
-        # two children of one parent share its memo, keyed apart by their
-        # histories: checked in turns with their own children, every beta
-        # equals the one a chain of its own computes from a fresh seed
-        m_range, prec = (-2, 2), 24
+    def test_interleaved_siblings_equal_fresh_chains(self, monkeypatch):
+        # two children read their one parent's betas, summed once for
+        # both, and keep their own: checked in turns with their own
+        # children, every beta equals the one a chain of its own computes
+        # from a fresh seed
+        calls, (m_range, prec) = self._count_sums(monkeypatch), ((-2, 2), 24)
         parent = bailey_step(bailey_seed_delta(0, 1), -1)
         bailey_verify(parent, m_range, prec)
         left, right = bailey_step(parent, -1), bailey_step(parent, 1)
         states = [left, right, bailey_step(left, 0), bailey_step(right, 0)]
         reports = [bailey_verify(state, m_range, prec) for state in states]
         assert all(r.holds for r in reports)
-        assert left._beta_cache is right._beta_cache
-        assert {(-1, -1), (-1, 1), (-1, -1, 0), (-1, 1, 0)} <= {p for p, _ in left._windows}
+        assert calls == {"_beta_step": 35, "_kernel_sum": 43}
+        assert left.parent is right.parent is parent
         for state in states:
+            levels = {level for level, _ in state.window_extents}
+            assert levels == {state.depth}, state.history
+            assert {(state.depth, m) for m in range(-2, 3)} <= set(state.window_extents)
             fresh = bailey_seed_delta(0, 1)
             for s in state.history:
                 fresh = bailey_step(fresh, s)
-            assert fresh._beta_cache is not state._beta_cache
+            assert fresh.parent is not state.parent
             betas = [state.beta(m, prec) for m in range(-2, 3)]
             assert betas == [fresh.beta(m, prec) for m in range(-2, 3)], state.history
             assert sum(not b.is_zero for b in betas) >= 2
@@ -400,20 +436,20 @@ class TestKnownFalseMismatch:
         # side at every m the check reports
         st, reach = self.state(2), 40
 
-        def step_sum(depth, m, inner):
+        def step_sum(level, m, inner):
             total = zero(reach)
             for k in range(-reach, reach + 1):
-                ch1, ch2 = st._step_charges(depth, m, k)
+                ch1, ch2 = level._step_charges(m, k)
                 term = tet_index(*ch1, reach) * tet_index(*ch2, reach) * inner[k]
                 total = total + term.scaled(-1 if m % 2 else 1, 2 * k - m)
             return total
 
-        beta0 = {k: st._kernel_sum(0, k, reach) for k in range(-reach, reach + 1)}
-        beta1 = {k: step_sum(1, k, beta0) for k in range(-reach, reach + 1)}
+        beta0 = {k: st.parent.parent._kernel_sum(k, reach) for k in range(-reach, reach + 1)}
+        beta1 = {k: step_sum(st.parent, k, beta0) for k in range(-reach, reach + 1)}
         for m in range(-2, 3):
-            beta2 = step_sum(2, m, beta1)
+            beta2 = step_sum(st, m, beta1)
             assert beta2.prec >= self.H
-            assert equal_to_order(beta2, st._kernel_sum(2, m, self.H), self.H)
+            assert equal_to_order(beta2, st._kernel_sum(m, self.H), self.H)
 
     def test_chain_holds_at_every_level(self):
         reports = bailey_chain(self.N0, self.T, list(self.STEPS), (-2, 2), self.H)
@@ -432,11 +468,11 @@ class TestShiftedPentagonStep:
             args = (2 * t - 2 * s - m, m + 2 * s - t, 2 * s - t, -m - s - t)
             assert pentagon_shifted_check(*args, n, 8).holds, (t, s, n, m)
             st = bailey_step(bailey_seed_delta(n, t), s)
-            assert st._pentagon_args(1, m) == args
-            (member,) = st._window_members(1, m)
+            assert st._pentagon_args(m) == args
+            (member,) = st._window_members(m)
             for k in range(-5, 6):
                 charges, pref_h = _Term(member).at((k,))
-                assert charges == [*st._step_charges(1, m, k), (t, n + k)]
+                assert charges == [*st._step_charges(m, k), (t, n + k)]
                 assert pref_h == 2 * k - m
 
     def test_every_two_step_chain_holds(self):
