@@ -30,7 +30,7 @@ from .lattice import (
     eval_expr_with_box,
 )
 from .series import Frozen, QSeries, equal_to_order
-from .tetrahedron import _direct
+from .tetrahedron import _horner
 
 __all__ = [
     "CheckReport",
@@ -104,18 +104,19 @@ def triality_check(m: int, e: int, prec: int) -> CheckReport:
     This is the rotation as proven in the literature on the index; note
     the parity constraint: any other pairing of prefactor and rotated
     charges puts the two sides in different q^(1/2)-classes.  Each side
-    is its own sum over n, never derived from another orbit member as
-    `tet_index` derives it, so the three sums are independent.
+    is its own sum over n by `_horner`, never derived from another orbit
+    member as `tet_index` derives it, so the three sums are independent.
     """
-    lhs = _direct(m, e, prec)
-    r1 = _direct(-e - m, m, prec - m).scaled(_sign_pow(m), m)
-    r2 = _direct(e, -e - m, prec + e).scaled(_sign_pow(e), -e)
+    lhs = _horner(m, e, prec)
+    r1 = _horner(-e - m, m, prec - m).scaled(_sign_pow(m), m)
+    r2 = _horner(e, -e - m, prec + e).scaled(_sign_pow(e), -e)
     return compare_series([(lhs, r1), (lhs, r2)], prec)
 
 
 def duality_check(m: int, e: int, prec: int) -> CheckReport:
-    """The duality I(m,e) = I(-e,-m), each side its own sum over n."""
-    return compare_series([(_direct(m, e, prec), _direct(-e, -m, prec))], prec)
+    """The duality I(m,e) = I(-e,-m), each side its own sum over n by
+    `_horner`."""
+    return compare_series([(_horner(m, e, prec), _horner(-e, -m, prec))], prec)
 
 
 def pentagon_lhs(m1: int, m2: int, e1: int, e2: int, prec: int) -> QSeries:

@@ -36,10 +36,23 @@ Theory of Partitions", ch. 1), and dividing by (1 - q^k) is one running
 sum along each residue class mod 2k half-units.  A body walks down its
 diagonal to the nearest body cached to the precision asked, or to its
 row 1/(q;q)_(b-a), and divides back up.  Only rows are inverted, cold
-or resumed.  A sum asks for its bodies in order of n at falling
-precision, so each after its first is one division.  ind41 at
+or resumed.  A representative's sum, whose leads rise, asks for its
+bodies in order of n at falling precision, so each after its first is
+one division.  A dipping sum asks for them at rising precision and
+walks further: _direct(12, -6, 18) makes 48 divisions.  ind41 at
 half-exponent 500 sums 2,024 summands over 253 bodies, and
 tet_index(0, 0, 2400) takes 0.011-0.015 s from cold caches.
+
+Two sums over n give an index, both memoized in the one index cache.
+`_direct`, above, adds one summand series per n, each from `tet_term`
+and the body cache; `tet_index` sums by it alone, because
+bench/run.py pins `series.add` and `tet_term` on its kernel workloads
+and `_horner` calls neither.  `_horner` is Horner's scheme in n on the
+summand ratio -q^(n-m) / ((1 - q^n)(1 - q^(n+e))) (Gasper and Rahman,
+"Basic Hypergeometric Series", ch. 1): one list of coefficients,
+monomial adds and divisions by (1 - q^k), no body and no inverse.  A
+dipping sum costs it only a longer list, so the identity checks, which
+sum every side of a triality or duality as it stands, use it.
 The minimal degree of I(m, e), which drives every downstream truncation
 bound, is exact and in closed form (Garoufalidis, "The 3D index of an
 ideal triangulation and angle structures"); no series is evaluated to
@@ -50,7 +63,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .series import QSeries, qpoch, zero
+from .series import QSeries, _from_array, qpoch, zero
 
 __all__ = [
     "tet_term",
@@ -129,21 +142,60 @@ def tet_term(n: int, m: int, e: int, prec: int) -> QSeries:
     return body.scaled(-1 if n % 2 else 1, lead)
 
 
+def _stop(m: int, e: int, prec: int) -> int:
+    """One past the last summand of I(m, e) below half-exponent `prec`.
+
+    term_lead is strictly increasing in n once n >= m, so the first
+    n >= max(m, floor) whose lead reaches prec ends the sum exactly."""
+    floor = summation_floor(e)
+    n = floor
+    while not (n >= max(m, floor) and term_lead(n, m, e) >= prec):
+        n += 1
+    return n
+
+
 def _direct(m: int, e: int, prec: int) -> QSeries:
     """I(m, e) to half-exponent `prec` by its own sum over n, memoized."""
     key = (m, e)
     cached = _index_cache.get(key)
     if cached is not None and cached.prec >= prec:
         return cached.truncated(prec)
-    floor = summation_floor(e)
     total = zero(prec)
-    n = floor
-    # term_lead is strictly increasing in n once n >= m, so the first
-    # n >= max(m, floor) whose lead reaches prec ends the sum exactly.
-    while not (n >= max(m, floor) and term_lead(n, m, e) >= prec):
+    for n in range(summation_floor(e), _stop(m, e, prec)):
         total = total + tet_term(n, m, e, prec)
-        n += 1
     _index_cache[key] = total
+    return total
+
+
+def _horner(m: int, e: int, prec: int) -> QSeries:
+    """I(m, e) to half-exponent `prec` by Horner's scheme in n, memoized.
+
+    The summands of `_direct`, in one list of coefficients from their
+    least lead up to `prec`: from the top summand down, add (-1)^n at
+    the lead of summand n, then divide by (1 - q^n)(1 - q^(n+e)), the
+    ratio of its body to its predecessor's; last divide by the first
+    body's (q;q)_floor (q;q)_(floor+e).  Each step only moves
+    coefficients up, so the list is exact below `prec` however far the
+    leads dip.  All leads share the parity of e*m, so the list is a
+    series in q from its first slot, as `_divide` asks."""
+    key = (m, e)
+    cached = _index_cache.get(key)
+    if cached is not None and cached.prec >= prec:
+        return cached.truncated(prec)
+    floor, top = summation_floor(e), _stop(m, e, prec)
+    leads = [term_lead(n, m, e) for n in range(floor, top)]
+    low = min(leads, default=prec)
+    out = [0] * (prec - low)
+    for n in range(top - 1, floor - 1, -1):
+        lead = leads[n - floor]
+        if lead < prec:
+            out[lead - low] += -1 if n % 2 else 1
+        if n > floor:
+            _divide(out, n)
+            _divide(out, n + e)
+    for k in range(1, abs(e) + 1):
+        _divide(out, k)
+    total = _index_cache[key] = _from_array(low, out, prec)
     return total
 
 

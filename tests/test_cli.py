@@ -666,6 +666,17 @@ class TestCommands:
         )
         assert code == 0 and "holds" in out
 
+    def test_triality_of_a_dipping_charge_at_high_precision(self, capsys):
+        # the sides of (20, 7) have summand leads far below their degree
+        code, out, _ = invoke(
+            capsys, "triality", "-m", "20", "-e", "7", "--prec", "600",
+            "--format", "json",
+        )
+        assert code == 0
+        (report,) = json.loads(out)["reports"]
+        assert report["holds"] is True
+        assert report["verified_to_half_exp"] == 600
+
     def test_pentagon_shifted(self, capsys):
         code, out, _ = invoke(
             capsys,

@@ -32,7 +32,7 @@ from tetindex.lattice import (
     eval_expr_with_box,
 )
 from tetindex.series import equal_to_order, monomial, one
-from tetindex.tetrahedron import clear_caches, term_degree, tet_index
+from tetindex.tetrahedron import _horner, clear_caches, term_degree, tet_index
 
 
 class TestCompare:
@@ -128,6 +128,24 @@ class TestDuality:
     def test_degenerate_precision_vacuous(self):
         with pytest.raises(ValueError, match="compare no coefficient"):
             duality_check(4, -1, 0)
+
+
+class TestRowRecurrence:
+    def test_row_recurrence_on_grid(self):
+        # I(m, e+1) + I(m, e-1) = (q^(m/2) + q^(-m/2) - q^(e+m/2)) I(m, e)
+        # (Dimofte-Gaiotto-Gukov); the shifts cost I(m, e) max(|m|, -(2e+m))
+        # half-units of precision
+        prec, mismatches = 40, []
+        clear_caches()
+        for m in range(-7, 8):
+            for e in range(-7, 8):
+                shifts = (m, -m, 2 * e + m)
+                mid = _horner(m, e, prec - min(shifts))
+                lhs = _horner(m, e + 1, prec) + _horner(m, e - 1, prec)
+                rhs = mid.scaled(1, m) + mid.scaled(1, -m) - mid.scaled(1, 2 * e + m)
+                if not equal_to_order(lhs, rhs, prec):
+                    mismatches.append((m, e))
+        assert mismatches == []
 
 
 class TestPentagon:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from oracle import naive_min_degree, naive_tet_index, naive_tet_term, same_to_order
 from tetindex import series, tetrahedron
-from tetindex.identities import triality_check
 from tetindex.series import QSeries, equal_to_order, one, qpoch
 from tetindex.tetrahedron import (
     clear_caches,
@@ -365,8 +364,9 @@ class TestOrbit:
         assert same_to_order(naive_tet_term(4, -3, 2, 160), s, 160)
 
     def test_only_rows_are_inverted(self, monkeypatch):
-        # the triality checks sum charges with m > 0, whose bodies are
-        # asked for past their cached predecessors: each walks down its
+        # the three sides of each triality check on [-6, 6]^2 at 12 and of
+        # (20, 7) at 600, each summed directly: charges with m > 0 ask for
+        # bodies past their cached predecessors, each walks down its
         # diagonal to a row, and no divisor is (q;q)_a (q;q)_b with a > 0
         divisors = []
         inverse = QSeries.inverse
@@ -375,12 +375,14 @@ class TestOrbit:
             divisors.append(self)
             return inverse(self, known=known)
 
+        def sides(m, e, prec):
+            return [(m, e, prec), (-e - m, m, prec - m), (e, -e - m, prec + e)]
+
         monkeypatch.setattr(QSeries, "inverse", spy)
         clear_caches()
-        for m in range(-6, 7):
-            for e in range(-6, 7):
-                assert triality_check(m, e, 12).holds
-        assert triality_check(20, 7, 600).holds
+        grid = [(m, e) for m in range(-6, 7) for e in range(-6, 7)]
+        for m, e, prec in [s for c in grid for s in sides(*c, 12)] + sides(20, 7, 600):
+            tetrahedron._direct(m, e, prec)
         assert divisors
         for a in divisors:
             assert any(a == qpoch(b, a.prec) for b in range(64)), a
@@ -427,6 +429,27 @@ class TestOrbit:
             s = tet_index(m, e, prec)
             assert s.prec == prec
             assert same_to_order(_naive(m, e, prec), s, prec)
+
+
+class TestHorner:
+    @pytest.mark.parametrize("prec", [0, 1, 2, 12, 41])
+    def test_grid_equals_direct_and_oracle(self, prec):
+        for m in range(-8, 9):
+            for e in range(-8, 9):
+                clear_caches()
+                s = tetrahedron._horner(m, e, prec)
+                assert s.prec == prec
+                assert same_to_order(_naive(m, e, prec), s, prec)
+                clear_caches()
+                assert s == tetrahedron._direct(m, e, prec)
+
+    def test_dipping_charge_at_high_precision(self):
+        # the leads of I(20, 7) dip to -520 half-units, its degree is 560
+        clear_caches()
+        s = tetrahedron._horner(20, 7, 600)
+        clear_caches()
+        assert s == tetrahedron._direct(20, 7, 600)
+        assert s.lead == tet_min_degree(20, 7)
 
 
 class TestDivide:
