@@ -124,15 +124,10 @@ class LatticeSumExpr(Frozen):
         object.__setattr__(self, "factors", factors)
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be 1 or -1, got {self.sign}")
-        counts, odd = {len(self.prefactor.coeffs)}, 0
-        for a, b in self.factors:
-            counts |= {len(a.coeffs), len(b.coeffs)}
-            odd |= a.constant | b.constant
-            for c in a.coeffs + b.coeffs:
-                odd |= c
-        if counts != {self.rank}:
+        charges = [form for pair in self.factors for form in pair]
+        if {len(form.coeffs) for form in [self.prefactor, *charges]} != {self.rank}:
             raise ValueError(f"a form's coefficient count is not the rank {self.rank}")
-        if odd % 2:  # the lowest bit of some constant or coefficient
+        if not all(form.is_integer_valued for form in charges):
             raise ValueError("charge form not integer-valued")
 
     @property

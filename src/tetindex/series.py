@@ -38,11 +38,10 @@ Arithmetic cost:
   inverts (q;q)_30 to 1500 in 191,760 multiply-adds, 0.015-0.016 s
   on a 2-core x86-64 VM with CPython 3.11.7.  The kernel inverts only
   rows 1/(q;q)_n, the foot of each diagonal of summand bodies (see
-  `tetrahedron`); over every job of the benchmark workloads, from cold
-  caches, the costliest inversion takes 1,065 multiply-adds on
-  kernel-highprec, 180 on knot-lattice and 165 on verify-sweep.
-  `inverse(known=...)` resumes the recursion from an inverse known to
-  a lower precision.
+  `tetrahedron`), each cold; over every job of the benchmark
+  workloads, from cold caches, the costliest inversion takes 1,065
+  multiply-adds on kernel-highprec, 185 on knot-lattice and 4 on
+  verify-sweep.
 - `qpoch` builds (q;q)_n from 1, one shift-and-subtract per factor,
   and keeps nothing between calls.
 
@@ -223,13 +222,8 @@ class QSeries(Frozen):
                     out[i + j] += ca * cb
         return _from_array(lead, out, prec)
 
-    def inverse(self, *, known: QSeries | None = None) -> QSeries:
-        """Multiplicative inverse; requires lead 0 and constant term +-1.
-
-        Given `known`, the inverse to a lower precision, the recursion
-        resumes past it: coefficient k depends only on lower coefficients
-        of the inverse and of self, which do not change with the
-        precision, so the known ones are kept."""
+    def inverse(self) -> QSeries:
+        """Multiplicative inverse; requires lead 0 and constant term +-1."""
         if not self.coeffs or self.lead != 0:
             raise ValueError("inverse requires a series with lead 0")
         a0 = self.coeffs[0]
@@ -244,13 +238,8 @@ class QSeries(Frozen):
         # every exponent of the inverse; the others stay zero
         step = gcd(*(j for j, _ in terms)) or n
         out = [0] * n
-        out[0], start = a0, step
-        if known is not None:
-            if not known.coeffs or known.lead != 0 or known.prec > n:
-                raise ValueError("a resumed inverse must start at lead 0 below prec")
-            out[: known.prec] = known.coeffs
-            start = -(-known.prec // step) * step
-        for k in range(start, n, step):
+        out[0] = a0
+        for k in range(step, n, step):
             acc = 0
             for j, aj in terms:
                 if j > k:

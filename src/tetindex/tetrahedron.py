@@ -35,8 +35,8 @@ body(a, b) = body(a-1, b-1) / ((1 - q^a)(1 - q^b)) (Andrews, "The
 Theory of Partitions", ch. 1), and dividing by (1 - q^k) is one running
 sum along each residue class mod 2k half-units.  A body walks down its
 diagonal to the nearest body cached to the precision asked, or to its
-row 1/(q;q)_(b-a), and divides back up.  Only rows are inverted, cold
-or resumed.  A representative's sum, whose leads rise, asks for its
+row 1/(q;q)_(b-a), and divides back up.  Only rows are inverted, and
+always cold.  A representative's sum, whose leads rise, asks for its
 bodies in order of n at falling precision, so each after its first is
 one division.  A dipping sum asks for them at rising precision and
 walks further: _direct(12, -6, 18) makes 48 divisions.  ind41 at
@@ -106,9 +106,8 @@ def _body(a: int, b: int, prec: int) -> QSeries:
         j -= 1
         cached = _body_cache.get((j, j + d))
     if cached is None or cached.prec < prec:
-        # the row, cold or resumed; bench/run.py pins series.mul on this product by 1
-        poch = qpoch(0, prec) * qpoch(d, prec)
-        cached = _body_cache[(0, d)] = poch.inverse(known=cached)
+        # the row, inverted cold; bench/run.py pins series.mul on this product by 1
+        cached = _body_cache[(0, d)] = (qpoch(0, prec) * qpoch(d, prec)).inverse()
     while j < a:
         j += 1
         out = list(cached.coeffs[:prec])

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import random
 
@@ -360,8 +359,9 @@ class TestInverse:
         assert equal_to_order(p * p.inverse(), one(12), 12)
 
     def test_rejects_non_unit_constant(self):
-        with pytest.raises(ValueError):
-            series(0, [2], 4).inverse()
+        for a in (series(0, [2], 4), series(0, [2, 1], 6)):
+            with pytest.raises(ValueError, match="inverse requires constant term"):
+                a.inverse()
         with pytest.raises(ValueError):
             series(2, [1], 6).inverse()
 
@@ -379,41 +379,6 @@ class TestInverse:
     def test_long_inverse_against_oracle(self, a):
         assert same_to_order(dict_inv(series_to_dict(a), a.prec), a.inverse(), a.prec)
 
-    @settings(max_examples=150, deadline=None)
-    @given(long_series(lead=0, unit=True), st.integers(1, 121))
-    def test_extended_inverse_equals_cold_inverse(self, a, cut):
-        # resumed from any shorter inverse, including a step-aligned one
-        known = a.truncated(min(cut, a.prec)).inverse()
-        assert a.inverse(known=known) == a.inverse()
-
-    @pytest.mark.parametrize("n", [0, 1, 5, 40])
-    def test_extended_row_equals_cold_row(self, n):
-        for lo, hi in [(1, 2), (7, 160), (40, 41), (160, 160)]:
-            row = qpoch(n, hi).inverse(known=qpoch(n, lo).inverse())
-            assert row == qpoch(n, hi).inverse()
-
-    def test_extension_rejects_a_foreign_prefix(self):
-        message = "a resumed inverse must start at lead 0 below prec"
-        for known in (qpoch(3, 12).inverse(), zero(0), monomial(1, 2, 6)):
-            with pytest.raises(ValueError, match=message):
-                qpoch(3, 10).inverse(known=known)
-        # the divisor is checked first, with the errors of a cold inverse
-        with pytest.raises(ValueError, match="inverse requires constant term"):
-            series(0, [2, 1], 6).inverse(known=one(4))
-
-    def test_known_is_keyword_only(self):
-        # bench/spans.py counts an inversion's work from its positional
-        # arguments alone, the divisor
-        with pytest.raises(TypeError):
-            qpoch(3, 10).inverse(qpoch(3, 4).inverse())
-
-    @pytest.mark.parametrize("n", [10, 20, 34])
-    def test_row_resumed_from_every_cut_equals_cold_row(self, n):
-        row = qpoch(n, 160)
-        cold = row.inverse()
-        for cut in range(1, 161):
-            assert row.inverse(known=cold.truncated(cut)) == cold, cut
-
 
 def dense_unit(rng, n, a0, stride):
     """A lead-0 series of n coefficients, constant term a0, with a
@@ -424,16 +389,6 @@ def dense_unit(rng, n, a0, stride):
         for i in range(1, n)
     ]
     return QSeries(0, tuple(coeffs), n)
-
-
-@functools.lru_cache(maxsize=None)
-def _dense_600(a0):
-    """A dense unit series of 600 coefficients and its inverse, checked
-    against the oracle."""
-    a = dense_unit(random.Random(600 + a0), 600, a0, 1)
-    cold = a.inverse()
-    assert same_to_order(dict_inv(series_to_dict(a), 600), cold, 600)
-    return a, cold
 
 
 class TestDenseInverse:
@@ -450,27 +405,17 @@ class TestDenseInverse:
             a = dense_unit(rng, n, a0, stride)
             assert same_to_order(dict_inv(series_to_dict(a), n), a.inverse(), n)
 
-    @pytest.mark.parametrize("a0", [1, -1])
-    @pytest.mark.parametrize("cut", [1, 37, 127, 128, 129, 256, 301, 512, 599])
-    def test_extended_dense_inverse_equals_cold_inverse(self, a0, cut):
-        # cuts at the first coefficient, odd and even ones and n - 1
-        a, cold = _dense_600(a0)
-        assert a.inverse(known=a.truncated(cut).inverse()) == cold
-
     @settings(max_examples=60, deadline=None)
     @given(
         st.sampled_from((1, -1)),
         st.integers(1, 3),
         st.integers(2, 240),
         st.randoms(use_true_random=False),
-        st.data(),
     )
-    def test_resumed_dense_inverse_equals_cold_and_oracle(self, a0, stride, n, rng, data):
+    def test_short_dense_inverse_against_oracle(self, a0, stride, n, rng):
+        # lengths 2..240, below test_dense_inverse_against_oracle's
         a = dense_unit(rng, n, a0, stride)
-        cut = data.draw(st.integers(1, n), label="cut")
-        cold = a.inverse()
-        assert a.inverse(known=a.truncated(cut).inverse()) == cold
-        assert same_to_order(dict_inv(series_to_dict(a), n), cold, n)
+        assert same_to_order(dict_inv(series_to_dict(a), n), a.inverse(), n)
 
     @pytest.mark.parametrize("n", [10, 20, 34])
     def test_dense_pochhammer_round_trip(self, n):

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import naive_min_degree, naive_tet_index, naive_tet_term, same_to_order
-from tetindex import series, tetrahedron
+from tetindex import ind41, series, tetrahedron
+from tetindex.identities import triality_check
 from tetindex.series import QSeries, equal_to_order, one, qpoch
 from tetindex.tetrahedron import (
     clear_caches,
@@ -78,20 +79,49 @@ class TestIndex:
 
 class TestHighPrecision:
     """Indices at high precision: I(0, 0) at 1200, whose bodies are
-    divided from their predecessors, and a ladder whose first body
-    resumes its inversion from the step before."""
+    divided from their predecessors, and a rising ladder whose first
+    body is inverted again, cold, at each step."""
 
     def test_origin_at_1200(self):
         clear_caches()
         assert same_to_order(naive_tet_index(0, 0, 1200), tet_index(0, 0, 1200), 1200)
 
-    def test_resumed_ladder(self):
-        # each step resumes the first body of the step before
+    def test_rising_ladder(self):
+        # each step regrows the first body of the step before
         clear_caches()
         for prec in (200, 400, 800):
             s = tet_index(1, 5, prec)
             assert s.prec == prec
             assert same_to_order(_naive(1, 5, prec), s, prec)
+
+    def test_regrown_bodies_in_one_process(self):
+        # a row cached at a lower precision is inverted again, and a body
+        # past every cached body of its diagonal is walked down to one, or
+        # to its row, and divided back up: ind41, I(-6, 1) and the triality
+        # check of I(12, -5), whose m > 0 side walks, asked for at rising
+        # precisions in one process must equal the same from cleared caches
+        sides = [(12, -5), (-7, 12), (-5, -7)]
+
+        def triality(h):
+            report = triality_check(12, -5, h)
+            assert report.holds, f"triality at {h}"
+            return report, [tetrahedron._index_cache[c] for c in sides]
+
+        clear_caches()
+        knot = [ind41(h) for h in (300, 500)]
+        ladder = [tet_index(-6, 1, h) for h in (200, 400, 800, 1600)]
+        tri = [triality(h) for h in (100, 200, 400)]
+        clear_caches()
+        cold_knot = ind41(500)
+        clear_caches()
+        cold_ladder = tet_index(-6, 1, 1600)
+        assert knot[-1] == cold_knot, "ind41 at 500"
+        assert ladder[-1] == cold_ladder, "I(-6, 1) at 1600"
+        assert knot[0] == cold_knot.truncated(300), "ind41 at 300"
+        assert all(s == cold_ladder.truncated(s.prec) for s in ladder), "I(-6, 1) ladder"
+        for h, got in zip((100, 200, 400), tri):
+            clear_caches()
+            assert got == triality(h), f"triality sides at {h}"
 
 
 class TestMinDegree:
@@ -312,24 +342,24 @@ class TestOrbit:
         for key in tetrahedron._index_cache:
             assert key == min(c for c, _ in _orbit(*key))
 
-    def test_regrown_first_body_resumes_its_inverse(self, monkeypatch):
-        # only a sum's first body, here (0, 3), is inverted; asked for at
-        # a higher precision it resumes from its own cached coefficients
+    def test_regrown_first_body_is_inverted_cold(self, monkeypatch):
+        # only a sum's first body, here the row (0, 3), is inverted; asked
+        # for at a higher precision it is inverted again from the start
         clear_caches()
         tet_index(-3, 3, 40)
         low = tetrahedron._body_cache[(0, 3)]
-        resumed = []
+        divisors = []
         inverse = QSeries.inverse
 
-        def spy(self, *, known=None):
-            resumed.append(known)
-            return inverse(self, known=known)
+        def spy(self):
+            divisors.append(self)
+            return inverse(self)
 
         monkeypatch.setattr(QSeries, "inverse", spy)
         tet_index(-3, 3, 160)
-        assert len(resumed) == 1 and resumed[0] is low
         body = tetrahedron._body_cache[(0, 3)]
         assert body.prec > low.prec
+        assert divisors == [qpoch(3, body.prec)]
         assert body == qpoch(3, body.prec).inverse()
 
     def test_regrown_bodies_equal_cold_bodies(self):
@@ -351,8 +381,8 @@ class TestOrbit:
     def test_predecessor_below_precision_is_regrown(self):
         # summand 3 of I(-3, 2) to q^20 caches body (3, 5) at half-exponent
         # 4 only; summand 4 to q^80 needs (4, 6) at 110, past every body
-        # of its diagonal, so the row (0, 2) is resumed to 110 and each
-        # body up to (4, 6) is divided from it and cached at 110
+        # of its diagonal, so the row (0, 2) is inverted again to 110 and
+        # each body up to (4, 6) is divided from it and cached at 110
         clear_caches()
         tet_index(-3, 2, 40)
         assert tetrahedron._body_cache[(3, 5)].prec == 4
@@ -371,9 +401,9 @@ class TestOrbit:
         divisors = []
         inverse = QSeries.inverse
 
-        def spy(self, *, known=None):
+        def spy(self):
             divisors.append(self)
-            return inverse(self, known=known)
+            return inverse(self)
 
         def sides(m, e, prec):
             return [(m, e, prec), (-e - m, m, prec - m), (e, -e - m, prec + e)]
@@ -416,7 +446,7 @@ class TestOrbit:
     def test_shuffled_requests_share_one_cache(self):
         # every charge of [-6, 6]^2 at three precisions, in one shuffled
         # run over one set of caches: bodies are divided, truncated,
-        # inverted and resumed in every order
+        # inverted and regrown in every order
         clear_caches()
         requests = [
             (m, e, prec)
