@@ -6,8 +6,9 @@ a stepped state also holds its parent, the state one step below it.
 beta is never materialized: it is defined by the pair relation at
 depth 0 and by the step transform of the parent's betas at each deeper
 level, and is computed lazily into the state's own memo, keyed by
-charge.  The states stepped from one parent read its one memo, so a
-chain or a tree computes each level once.
+charge.  The states stepped from one parent read its one memo, so
+siblings share their parent's betas; a beta asked for above the
+precision it is memoized to is summed again.
 
 The step transform multiplies alpha_n pointwise by
     (-1)^n q^(-n/2) I(3t - s + n, 2s - t - n)
@@ -23,12 +24,20 @@ checks.  The step window is certified: the step term at k is bounded
 below by the least of the terms at k of one shifted-pentagon sum per
 seed point, each solved exactly by the lattice certificate.
 
-Every sum here is made of charge products (`lattice.charge_product`),
-as the lattice sums are.  After d steps alpha_n is one product per
-monomial c q^(h/2) of its seed, c (-1)^(nd) q^((h - nd)/2) times the d
-step indices; alpha and the kernel sum, whose products lead with
-I(t_d, n+k), go through the one accumulator `lattice.sum_products`.
-Each step term is one product of the two step indices times beta(k).
+Each state builds on its parent once.  It keeps the lead of each
+alpha_n, the least degree of its monomials: the lowest seed monomial's
+plus the step factors', from the parent's leads when the state is
+made.  The leads bound the kernel-sum terms, beta's degree and the
+step windows.  alpha is memoized per state and grown as beta is: a
+seed's alpha_n is its polynomial, a stepped state's is one product of
+the step factor and the parent's alpha_n.  Every sum goes into the
+dense integer list of `lattice.sum_series`, the accumulator of the
+lattice sums too: a kernel-sum term is the one product
+I(t_d, n+k) alpha_n, each side to the precision less the other side's
+degree, and a step term is the charge product (`lattice.charge_product`)
+of the two step indices times beta(k).  Only kernel sums read the alpha
+memo, so above the seed the two sides `bailey_verify` compares share no
+memo.
 """
 
 from __future__ import annotations
@@ -36,9 +45,9 @@ from __future__ import annotations
 from math import inf
 
 from .identities import CheckReport, _members_window, _pentagon_sum, compare_series
-from .lattice import charge_product, sum_products
+from .lattice import charge_product, sum_products, sum_series
 from .series import QSeries, zero
-from .tetrahedron import term_degree
+from .tetrahedron import term_degree, tet_index, tet_min_degree
 
 __all__ = [
     "BaileyState",
@@ -56,16 +65,27 @@ class BaileyState:
     step of t - parent.t from `parent`, whose level it reads."""
 
     def __init__(self, t, seed, parent=None):
-        # seed: mapping n -> Laurent polynomial ((half_exp, coeff), ...)
+        # seed: mapping n -> Laurent polynomial ((half_exp, coeff), ...),
+        # normalized here for a seed; a stepped state is passed its
+        # parent's, as `bailey_step` does, and keeps it
         self.t, self.parent = t, parent
-        self.seed = {
-            n: tuple(sorted((h, c) for h, c in poly if c))
-            for n, poly in seed.items()
-            if any(c for _, c in poly)
-        }
-        self.history = () if parent is None else parent.history + (t - parent.t,)
-        # beta, its degree bound and the step window of this level, per m
-        self._beta_cache, self._beta_lb, self._windows = {}, {}, {}
+        if parent is None:
+            self.seed = {
+                n: tuple(sorted((h, c) for h, c in poly if c))
+                for n, poly in seed.items()
+                if any(c for _, c in poly)
+            }
+            self.history = ()
+            # the least degree of alpha_n's monomials, the lowest seed monomial's
+            self._alpha_lead = {n: poly[0][0] for n, poly in self.seed.items()}
+        else:
+            self.seed, self.history = seed, parent.history + (t - parent.t,)
+            self._alpha_lead = {
+                n: lead + term_degree([self._alpha_charge(n)], -n)
+                for n, lead in parent._alpha_lead.items()
+            }
+        # alpha, beta, beta's degree bound and this level's step window, per n or m
+        self._alpha_cache, self._beta_cache, self._beta_lb, self._windows = {}, {}, {}, {}
 
     @property
     def window_extents(self) -> dict[tuple[int, int], int]:
@@ -80,32 +100,30 @@ class BaileyState:
     def support(self):
         return tuple(sorted(self.seed))
 
-    def _alpha_products(self, n: int):
-        """alpha_n as charge products (charges, pref_h, c), one per
-        monomial c q^(h/2) of the seed, each step a factor
-        (-1)^n q^(-n/2) I(3t-s+n, 2s-t-n)."""
-        if self.parent is None:
-            return [([], h, c) for h, c in self.seed.get(n, ())]
+    def _alpha_charge(self, n: int):
+        """The charges of the step index I(3t-s+n, 2s-t-n) of alpha_n."""
         t, s = self.parent.t, self.t - self.parent.t
-        step, sign = (3 * t - s + n, 2 * s - t - n), -1 if n % 2 else 1
-        return [([*ch, step], h - n, sign * c) for ch, h, c in self.parent._alpha_products(n)]
-
-    def _kernel_products(self, m: int):
-        """The terms I(t, n+m) alpha_n of the kernel sum as charge products."""
-        return [
-            ([(self.t, n + m), *charges], h, c)
-            for n in self.support()
-            for charges, h, c in self._alpha_products(n)
-        ]
-
-    def _alpha_lead(self, n: int) -> int:
-        """The minimal degree of alpha_n, for n in the support: its lowest
-        monomial's, exact."""
-        return min(term_degree(ch, h) for ch, h, _ in self._alpha_products(n))
+        return 3 * t - s + n, 2 * s - t - n
 
     def alpha(self, n: int, prec: int) -> QSeries:
-        """alpha_n at the current parameter, truncated at `prec`."""
-        return sum_products(self._alpha_products(n), prec)
+        """alpha_n at the current parameter, truncated at `prec`, memoized:
+        the seed polynomial, or the parent's alpha_n times the step factor
+        (-1)^n q^(-n/2) I(3t-s+n, 2s-t-n), each to `prec` less the other's
+        degree."""
+        if self._alpha_lead.get(n, inf) >= prec:  # zero to prec, or off the support
+            return zero(prec)
+        cached = self._alpha_cache.get(n)
+        if cached is not None and cached.prec >= prec:
+            return cached.truncated(prec)
+        if self.parent is None:
+            a = sum_products([((), h, c) for h, c in self.seed[n]], prec)
+        else:
+            charges = [self._alpha_charge(n)]
+            d, lead = term_degree(charges, -n), self.parent._alpha_lead[n]
+            step = charge_product(charges, -n, -1 if n % 2 else 1, prec - lead)
+            a = (step * self.parent.alpha(n, prec - d)).truncated(prec)
+        self._alpha_cache[n] = a
+        return a
 
     # -- beta -----------------------------------------------------------
 
@@ -120,8 +138,15 @@ class BaileyState:
         return s
 
     def _kernel_sum(self, m: int, prec: int) -> QSeries:
-        """sum_n I(t, n+m) alpha_n."""
-        return sum_products(self._kernel_products(m), prec)
+        """sum_n I(t, n+m) alpha_n: one product per n whose term starts
+        below `prec`, the index to `prec` less alpha_n's degree and alpha_n
+        to `prec` less the index's."""
+        t, terms = self.t, []
+        for n, lead in self._alpha_lead.items():
+            d = tet_min_degree(t, n + m)
+            if d + lead < prec:
+                terms.append(tet_index(t, n + m, prec - lead) * self.alpha(n, prec - d))
+        return sum_series(terms, prec)
 
     def _pentagon_args(self, m: int):
         """(m1, m2, e1, e2) = (2t-2s-m, m+2s-t, 2s-t, -m-s-t): at e0 = n,
@@ -140,7 +165,7 @@ class BaileyState:
         step term's bound at k against n alone."""
         m1, m2, e1, e2 = self._pentagon_args(m)
         return [
-            _pentagon_sum(m1, m2, e1, e2, n, self.parent._alpha_lead(n) - m)
+            _pentagon_sum(m1, m2, e1, e2, n, self.parent._alpha_lead[n] - m)
             for n in self.support()
         ]
 
@@ -152,16 +177,14 @@ class BaileyState:
         extent = self._windows[m] = _members_window(
             self._window_members(m), prec, "Bailey step window"
         )
-        parent, sign = self.parent, -1 if m % 2 else 1
-        total = zero(prec)
+        parent, sign, terms = self.parent, -1 if m % 2 else 1, []
         for k in range(-extent, extent + 1):
             charges, pref = self._step_charges(m, k), 2 * k - m
             d, lb = term_degree(charges, pref), parent._beta_lead_lb(k)
-            if d + lb >= prec:  # the term starts at or above prec
-                continue
-            term = charge_product(charges, pref, sign, prec - lb)
-            total = total + (term * parent.beta(k, prec - d)).truncated(prec)
-        return total
+            if d + lb < prec:  # the term starts below prec
+                term = charge_product(charges, pref, sign, prec - lb)
+                terms.append(term * parent.beta(k, prec - d))
+        return sum_series(terms, prec)
 
     def _window(self, m: int, prec: int) -> int:
         """This level's step window for beta(m) at `prec`, 0 for a seed: the
@@ -177,7 +200,8 @@ class BaileyState:
         beta is zero)."""
         if m not in self._beta_lb:
             self._beta_lb[m] = min(
-                (term_degree(ch, h) for ch, h, _ in self._kernel_products(m)), default=inf
+                (tet_min_degree(self.t, n + m) + lead for n, lead in self._alpha_lead.items()),
+                default=inf,
             )
         return self._beta_lb[m]
 
@@ -195,8 +219,9 @@ def bailey_seed(t: int, alpha) -> BaileyState:
 
 
 def bailey_step(state: BaileyState, s: int) -> BaileyState:
-    """New state at parameter t + s; alpha transforms pointwise, so the
-    support never grows.  `s` is appended to the history."""
+    """New state at parameter t + s, sharing the state's seed; alpha
+    transforms pointwise, so the support never grows.  `s` is appended
+    to the history."""
     return BaileyState(state.t + s, state.seed, state)
 
 

@@ -41,7 +41,7 @@ order and up to the duality I(m, e) = I(-e, -m), read from the forms,
 never from values (`_symmetry_group`).  Only the first face of each
 orbit of faces is searched (`_low_points`), and each orbit of low
 points costs one index product times its size, added into one dense
-integer list (`sum_products`), the accumulator of the Bailey sums too.
+integer list (`sum_series`), the accumulator of the Bailey sums too.
 ind41's group has 4 elements and the cyclic rank-3 sum I(a,b) I(b,c)
 I(c,a)'s has 6: each searches one face.
 """
@@ -67,6 +67,7 @@ __all__ = [
     "eval_expr_with_box",
     "charge_product",
     "sum_products",
+    "sum_series",
     "ind41",
     "load_expr_file",
     "IND41_TEXT",
@@ -124,10 +125,16 @@ class LatticeSumExpr(Frozen):
         object.__setattr__(self, "factors", factors)
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be 1 or -1, got {self.sign}")
-        charges = [form for pair in self.factors for form in pair]
-        if {len(form.coeffs) for form in [self.prefactor, *charges]} != {self.rank}:
-            raise ValueError(f"a form's coefficient count is not the rank {self.rank}")
-        if not all(form.is_integer_valued for form in charges):
+        # one pass over the charge forms: their counts, and the lowest bit
+        # of every constant and coefficient
+        rank = self.rank
+        fits, odd = len(self.prefactor.coeffs) == rank, 0
+        for a, b in self.factors:
+            fits = fits and len(a.coeffs) == len(b.coeffs) == rank
+            odd |= reduce(or_, a.coeffs + b.coeffs, a.constant | b.constant)
+        if not fits:
+            raise ValueError(f"a form's coefficient count is not the rank {rank}")
+        if odd % 2:
             raise ValueError("charge form not integer-valued")
 
     @property
@@ -319,14 +326,19 @@ def charge_product(charges, pref_h: int, sign: int, prec: int) -> QSeries:
 
 def sum_products(products, prec: int) -> QSeries:
     """The sum of the charge products (charges, pref_h, c) of
-    `charge_product`, truncated at `prec`.  The products go into one
-    dense integer list, which starts at the lowest lead so far and grows
-    downward when a product starts lower."""
-    if len(products) == 1:
-        return charge_product(*products[0], prec)
+    `charge_product`, truncated at `prec`, by `sum_series`."""
+    return sum_series([charge_product(ch, h, c, prec) for ch, h, c in products], prec)
+
+
+def sum_series(terms: list[QSeries], prec: int) -> QSeries:
+    """The sum of the series `terms`, each known to `prec` or beyond,
+    truncated at `prec`.  Two or more terms go into one dense integer
+    list, which starts at the lowest lead so far and grows downward when
+    a term starts lower."""
+    if len(terms) == 1:
+        return terms[0].truncated(prec)
     total, low = [], prec
-    for charges, pref_h, c in products:
-        s = charge_product(charges, pref_h, c, prec)
+    for s in terms:
         if s.lead < low:
             total[:0] = [0] * (low - s.lead)
             low = s.lead

@@ -16,8 +16,8 @@ from tetindex.bailey import (
 )
 from tetindex.identities import pentagon_shifted_check
 from tetindex.lattice import _Term
-from tetindex.series import equal_to_order, monomial, zero
-from tetindex.tetrahedron import tet_index
+from tetindex.series import QSeries, equal_to_order, monomial, zero
+from tetindex.tetrahedron import tet_index, tet_min_degree
 
 
 def _widen_step_windows(monkeypatch):
@@ -154,6 +154,47 @@ class TestStep:
         hi = st.beta(0, 8)
         lo = st.beta(0, 5)
         assert equal_to_order(hi, lo, 5) and lo.prec == 5
+
+    def test_stepped_state_shares_its_seed(self):
+        st = bailey_seed(0, {-1: ((0, 1),), 2: ((1, -3), (4, 2))})
+        assert bailey_step(st, 1).seed is st.seed
+        assert bailey_step(bailey_step(st, 1), -1).seed is st.seed
+
+    def test_alpha_memoization_transparent(self):
+        # alpha_n grows from its parent's like beta: asked low, then high,
+        # then low again, it equals a fresh state's at each precision
+        def state():
+            return bailey_step(bailey_step(bailey_seed(0, {2: ((1, -3), (4, 2))}), 1), -1)
+
+        st, fresh = state(), state()
+        lo, hi = st.alpha(2, 14), st.alpha(2, 30)
+        assert hi == fresh.alpha(2, 30) and not hi.is_zero
+        assert lo == hi.truncated(14) == st.alpha(2, 14) and lo.prec == 14
+        assert st.alpha(0, 30) == zero(30)
+
+    def test_kernel_sum_makes_one_index_product_per_term(self, monkeypatch):
+        # after four steps, each term I(t, n+m) alpha_n of the kernel sum
+        # is one product of the index and the memoized alpha_n, not one
+        # product per step index and seed monomial
+        st = bailey_seed(0, {-1: ((0, 1),), 2: ((1, -3), (4, 2))})
+        for s in (1, -1, 2, 0):
+            st = bailey_step(st, s)
+        prec, mul, products = 72, QSeries.__mul__, []
+
+        def counted(a, b):
+            products.append((a, b))
+            return mul(a, b)
+
+        for m in range(-2, 3):
+            # both seed points' terms start below prec
+            leads = [tet_min_degree(st.t, n + m) + st.alpha(n, prec).lead for n in st.support()]
+            assert max(leads) < prec
+            want = st._kernel_sum(m, prec)  # memoizes alpha and the indices
+            monkeypatch.setattr(QSeries, "__mul__", counted)
+            assert st._kernel_sum(m, prec) == want and not want.is_zero
+            monkeypatch.setattr(QSeries, "__mul__", mul)
+            assert len(products) == len(leads), m
+            products.clear()
 
 
 class TestAgainstOracle:
@@ -304,12 +345,35 @@ class TestVerify:
         return calls
 
     @pytest.mark.parametrize("prec, steps, kernels", [(12, 42, 56), (160, 251, 167)])
-    def test_depth_six_sums_each_level_once(self, prec, steps, kernels, monkeypatch):
-        # the work of the depth-6 chain: a level whose betas were summed
-        # is not summed again for the level above it
+    def test_depth_six_step_and_kernel_sum_counts(self, prec, steps, kernels, monkeypatch):
+        # the work of the depth-6 chain: the level above reads the betas
+        # a level's check summed, but a beta asked for above the
+        # precision it was summed to is summed again; at H=160, 138 of
+        # the 251 step sums are such regrowths (none at H=12)
         calls = self._count_sums(monkeypatch)
         bailey_chain(0, 1, [1, -1, 2, 0, 1, -1], (-3, 3), prec)
         assert calls == {"_beta_step": steps, "_kernel_sum": kernels}
+
+    @pytest.mark.parametrize(
+        "n0, t, steps, windows, step_sums",
+        [
+            (0, 1, (1, -1), [0, 1, 0], 10),
+            (1, 0, (-1, 1), [0, 4, 0], 10),
+            (-1, 0, (1, -1, 1), [0, 2, 0, 0], 15),
+            (1, 1, (0, -1, 1), [0, 0, 0, 0], 15),
+            (0, 1, (1, -1, 2, 0), [0, 1, 0, 0, 0], 20),
+            (0, -1, (1, 1, -1, 0), [0, 0, 0, 0, 0], 20),
+        ],
+    )
+    def test_benchmark_chains(self, n0, t, steps, windows, step_sums, monkeypatch):
+        # the six Bailey chains of the verify-sweep benchmark, at its H=8
+        # and m in -2..2: every level holds, with these windows, and each
+        # level sums each checked beta once
+        calls = self._count_sums(monkeypatch)
+        reports = bailey_chain(n0, t, list(steps), (-2, 2), 8)
+        assert all(r.holds and r.verified_to == 8 for r in reports)
+        assert [r.window for r in reports] == windows
+        assert calls["_beta_step"] == step_sums == 5 * len(steps)
 
     @staticmethod
     def _windows_in_order(n0, t, histories, order, m_range, prec):

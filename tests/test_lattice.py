@@ -150,16 +150,35 @@ class TestBuild:
             )
 
     @pytest.mark.parametrize(
-        "prefactor, m",
-        [((2, 0, 0), (2, 0)), ((2, 0), (2, 4, 0))],
-        ids=["prefactor", "charge"],
+        "m2, e2", [((1, 0), (0, 0)), ((2, 0), (0, 1))], ids=["coefficient", "constant"]
     )
-    def test_coefficient_count_must_match_rank(self, prefactor, m):
-        # an extra coefficient would be dropped
-        with pytest.raises(ValueError, match="coefficient count"):
+    def test_odd_half_unit_in_a_later_charge_form_rejected(self, m2, e2):
+        # I(k, k) I(k/2, 0) and I(k, k) I(k, 1/2): the odd half-unit is in
+        # the second factor, as a coefficient or as a constant
+        with pytest.raises(ValueError, match="charge form not integer-valued"):
+            LatticeSumExpr(
+                ("k",), 1, AffineForm((0,), 0),
+                ((self.charge(2, 0), self.charge(2, 0)), (self.charge(*m2), self.charge(*e2))),
+            )
+
+    def test_half_integer_prefactor_accepted(self):
+        # q^((k+1)/2) has odd half-units, but it is no charge
+        prefactor = AffineForm((1,), 1)
+        expr = LatticeSumExpr(("k",), 1, prefactor, ((self.charge(2, 0), self.charge(2, 0)),))
+        assert expr.prefactor == prefactor
+
+    @pytest.mark.parametrize(
+        "prefactor, m, e",
+        [((2, 0, 0), (2, 0), (-2, 0)), ((2, 0), (2, 4, 0), (-2, 0)), ((2, 0), (2, 0), (-2, 4, 1))],
+        ids=["prefactor", "charge", "second-charge"],
+    )
+    def test_coefficient_count_must_match_rank(self, prefactor, m, e):
+        # an extra coefficient would be dropped; the count is checked
+        # before the half-units, so an odd constant does not mask it
+        with pytest.raises(ValueError, match="a form's coefficient count is not the rank 1"):
             LatticeSumExpr(
                 ("k",), 1, self.charge(*prefactor),
-                ((self.charge(*m), self.charge(-2, 0)),),
+                ((self.charge(*m), self.charge(*e)),),
             )
 
     @pytest.mark.parametrize("sign", [3, 0, -2])
