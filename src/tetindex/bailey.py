@@ -22,7 +22,9 @@ holds at every depth.  It defines beta at depth 0, bounds beta's degree
 from below at every depth, and is the right-hand side `bailey_verify`
 checks.  The step window is certified: the step term at k is bounded
 below by the least of the terms at k of one shifted-pentagon sum per
-seed point, each solved exactly by the lattice certificate.
+seed point, each solved exactly by the lattice certificate, which
+certifies a term: each member is built from its integer charges
+(`identities._pentagon_term`), not from an expression.
 
 Each state builds on its parent once.  It keeps the lead of each
 alpha_n, the least degree of its monomials: the lowest seed monomial's
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 from math import inf
 
-from .identities import CheckReport, _members_window, _pentagon_sum, compare_series
+from .identities import CheckReport, _members_window, _pentagon_term, compare_series
 from .lattice import charge_product, sum_products, sum_series
 from .series import QSeries, zero
 from .tetrahedron import term_degree, tet_index, tet_min_degree
@@ -66,13 +68,13 @@ class BaileyState:
 
     def __init__(self, t, seed, parent=None):
         # seed: mapping n -> Laurent polynomial ((half_exp, coeff), ...),
-        # normalized here for a seed; a stepped state is passed its
-        # parent's, as `bailey_step` does, and keeps it
+        # normalized here for a seed, in increasing n; a stepped state is
+        # passed its parent's, as `bailey_step` does, and keeps it
         self.t, self.parent = t, parent
         if parent is None:
             self.seed = {
                 n: tuple(sorted((h, c) for h, c in poly if c))
-                for n, poly in seed.items()
+                for n, poly in sorted(seed.items())
                 if any(c for _, c in poly)
             }
             self.history = ()
@@ -98,7 +100,7 @@ class BaileyState:
         return len(self.history)
 
     def support(self):
-        return tuple(sorted(self.seed))
+        return tuple(self.seed)
 
     def _alpha_charge(self, n: int):
         """The charges of the step index I(3t-s+n, 2s-t-n) of alpha_n."""
@@ -156,30 +158,25 @@ class BaileyState:
         t, s = self.parent.t, self.t - self.parent.t
         return 2 * t - 2 * s - m, m + 2 * s - t, 2 * s - t, -m - s - t
 
-    def _step_charges(self, m: int, k: int):
-        m1, m2, e1, e2 = self._pentagon_args(m)
-        return (m1, e1 + k), (m2, e2 + k)
-
     def _window_members(self, m: int):
-        """One rank-1 sum per seed point n, whose term at k starts at the
-        step term's bound at k against n alone."""
+        """One rank-1 term per seed point n (`_pentagon_term`), whose value
+        at k starts at the step term's bound at k against n alone."""
         m1, m2, e1, e2 = self._pentagon_args(m)
-        return [
-            _pentagon_sum(m1, m2, e1, e2, n, self.parent._alpha_lead[n] - m)
-            for n in self.support()
-        ]
+        lead = self.parent._alpha_lead
+        return [_pentagon_term(m1, m2, e1, e2, n, lead[n] - m) for n in self.support()]
 
     def _beta_step(self, m: int, prec: int) -> QSeries:
-        """The step sum over k of the charge product
-        (-1)^m q^((2k-m)/2) I(ch1) I(ch2) times the parent's beta(k): the
-        product to `prec` less beta's degree bound, beta to `prec` less
-        the product's degree."""
+        """The step sum over k of (-1)^m q^((2k-m)/2) I(m1, e1+k)
+        I(m2, e2+k) times the parent's beta(k), (m1, m2, e1, e2) from
+        `_pentagon_args`: the product to `prec` less beta's degree bound,
+        beta to `prec` less the product's degree."""
         extent = self._windows[m] = _members_window(
             self._window_members(m), prec, "Bailey step window"
         )
+        m1, m2, e1, e2 = self._pentagon_args(m)
         parent, sign, terms = self.parent, -1 if m % 2 else 1, []
         for k in range(-extent, extent + 1):
-            charges, pref = self._step_charges(m, k), 2 * k - m
+            charges, pref = ((m1, e1 + k), (m2, e2 + k)), 2 * k - m
             d, lb = term_degree(charges, pref), parent._beta_lead_lb(k)
             if d + lb < prec:  # the term starts below prec
                 term = charge_product(charges, pref, sign, prec - lb)

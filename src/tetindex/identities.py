@@ -17,6 +17,8 @@ terms raises at once, naming the side it diverges on, so a failed
 convergence assumption is a loud error instead of a silent truncation.
 The Bailey step window is cut the same way: `_members_window` solves
 one shifted-pentagon sum per seed point and takes the widest window.
+A certificate certifies a term (`lattice._Term`): the step members and
+the window extents build theirs from their charges (`_pentagon_term`).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .lattice import (
     LatticeSumExpr,
     _Certificate,
     _low_points,
+    _Term,
     charge_product,
     eval_expr_with_box,
 )
@@ -137,12 +140,19 @@ def _pentagon_sum(m1, m2, e1, e2, e0=0, pref_h=0) -> LatticeSumExpr:
     )
 
 
+def _pentagon_term(m1, m2, e1, e2, e0=0, pref_h=0) -> _Term:
+    """`_Term(_pentagon_sum(m1, m2, e1, e2, e0, pref_h))`, from its charges."""
+    m3 = m1 + m2
+    consts = [pref_h, m1, e1, m1 + e1, m2, e2, m2 + e2, m3, e0, m3 + e0]
+    return _Term.of(consts, [[2, 0, 1, 1, 0, 1, 1, 0, 1, 1]])
+
+
 def _members_window(members, prec: int, what: str) -> int:
-    """The Bailey step window of a family of rank-1 sums: the farthest
-    index at which a term of any member reaches below `prec`, each member
-    solved exactly by the lattice certificate, or 0 for no member.  A
-    divergent member raises."""
-    return max((_low_points(_Certificate(e, prec), what)[0] for e in members), default=0)
+    """The Bailey step window of a family of rank-1 terms (`_Term`): the
+    farthest index at which any member reaches below `prec`, each solved
+    exactly by the lattice certificate, or 0 for no member.  A divergent
+    member raises."""
+    return max((_low_points(_Certificate(t, prec), what)[0] for t in members), default=0)
 
 
 # Former name of the Bailey step window, kept bound to `_members_window`
@@ -167,7 +177,7 @@ def pentagon_rhs(m1: int, m2: int, e1: int, e2: int, prec: int) -> QSeries:
 # `CheckReport.window` carries; they run the certificate only and stay
 # because bench/spans.py traces them as identity checks.
 def pentagon_window_extent(m1, m2, e1, e2, prec) -> int:
-    return _members_window([_pentagon_sum(m1, m2, e1, e2)], prec, "pentagon window")
+    return _members_window([_pentagon_term(m1, m2, e1, e2)], prec, "pentagon window")
 
 
 def pentagon_check(m1: int, m2: int, e1: int, e2: int, prec: int) -> CheckReport:
@@ -207,8 +217,8 @@ def pentagon_shifted_rhs(
 
 
 def pentagon_shifted_window_extent(m1, m2, e1, e2, e0, prec) -> int:
-    expr = _pentagon_sum(m1, m2, e1, e2, e0, m2 - e1)
-    return _members_window([expr], prec, "shifted-pentagon window")
+    term = _pentagon_term(m1, m2, e1, e2, e0, m2 - e1)
+    return _members_window([term], prec, "shifted-pentagon window")
 
 
 def pentagon_shifted_check(

@@ -362,6 +362,12 @@ class _Term:
                 m, e = ca // 2, cb // 2
                 col += (m, e, m + e)
 
+    @classmethod
+    def of(cls, consts: list[int], cols: list[list[int]]) -> _Term:
+        term = cls.__new__(cls)
+        term.consts, term.cols = consts, cols
+        return term
+
     def at(self, point):
         """The term at one lattice point."""
         vals = self.consts
@@ -516,7 +522,7 @@ def _line(step):
 
 
 class _Certificate:
-    """A certified truncation of a lattice sum.
+    """A certified truncation of a lattice sum, given by its `_Term`.
 
     Write a point as k = r * u with r = max |k_j| and u on a face of the
     max-norm unit sphere.  In max form the degree of I(m, e) is
@@ -538,9 +544,8 @@ class _Certificate:
     once if the sum diverges along one of them, and the box is split.
     """
 
-    def __init__(self, expr: LatticeSumExpr, prec: int):
-        self.expr, self.prec = expr, prec
-        self.term = _Term(expr)
+    def __init__(self, term: _Term, prec: int):
+        self.term, self.prec = term, prec
         self.lines_tested = set()
         # at w = 1: the constants of the prefactor, of each m, e, s, and all but the first
         k = self.term.consts
@@ -657,7 +662,7 @@ def _low_points(cert: _Certificate, what: str = "lattice sum", group=()):
     `what`; the budget is counted before a radius is tested, so no more
     points than that are ever tested."""
     prec, budget = cert.prec, SPLIT_BUDGET
-    pending, accepted = deque(_faces(cert.expr.rank, group)), []
+    pending, accepted = deque(_faces(len(cert.term.cols), group)), []
     while pending:
         box = pending.popleft()
         runs = cert.runs(box)
@@ -717,15 +722,17 @@ def _act(g, v) -> tuple:
     return tuple([s * v[i] for i, s in zip(source, signs)])
 
 
-def _factor_keys(factors, g):
+def _factor_keys(factors, g, among=None):
     """The factors' forms, with their coefficients mapped by g, as one
     sorted list in which each factor (m, e) is the lesser of itself and
-    its dual (-e, -m)."""
+    its dual (-e, -m); None at the first key not in `among`, if given."""
     keys = []
     for m, e in factors:
         m_key, e_key = (m.constant, *_act(g, m.coeffs)), (e.constant, *_act(g, e.coeffs))
         dual = (tuple([-x for x in e_key]), tuple([-x for x in m_key]))
         keys.append(min((m_key, e_key), dual))
+        if among is not None and keys[-1] not in among:
+            return None
     keys.sort()
     return keys
 
@@ -743,7 +750,7 @@ def _symmetry_group(expr: LatticeSumExpr) -> list:
     under inverses and composition, a group, so testing g^-1 tests g.
     The identity is not tested, and the prefactor is tested first, so a
     sum whose prefactor has a slope rejects most maps without reading a
-    factor."""
+    factor, and a map stops at the first factor it sends off the list."""
     rank = expr.rank
     identity = (tuple(range(rank)), (1,) * rank)
     perms = _SIGNED_PERMS.get(rank)
@@ -761,7 +768,7 @@ def _symmetry_group(expr: LatticeSumExpr) -> list:
             continue
         if keys is None:
             keys = _factor_keys(expr.factors, identity)
-        if _factor_keys(expr.factors, g) == keys:
+        if _factor_keys(expr.factors, g, keys) == keys:
             group.append(g)
     return group
 
@@ -815,10 +822,10 @@ def eval_expr_with_box(
     Only the origin and the low points of `_low_points` are summed, one
     orbit of the sum's symmetry group at a time (`_orbit_sum`); every
     other term is zero to this precision."""
-    cert, group = _Certificate(expr, prec), _symmetry_group(expr)
-    extent, terms = _low_points(cert, what, group)
-    at, origin = cert.term.at, (0,) * expr.rank
-    terms[origin] = at(origin)
+    term, group = _Term(expr), _symmetry_group(expr)
+    extent, terms = _low_points(_Certificate(term, prec), what, group)
+    origin = (0,) * expr.rank
+    terms[origin] = term.at(origin)
     return _orbit_sum(expr, terms, group, prec), extent
 
 
@@ -829,8 +836,9 @@ def ind41(prec: int) -> QSeries:
 
 def load_expr_file(path) -> LatticeSumExpr:
     """Read one expression from a UTF-8 text file; `#` lines are comments.
-    Lines end at CR LF, LF or CR, as in text mode; the file is read at once."""
+    Lines end at CR LF, LF or CR, as in text mode; the file is read at once,
+    and one byte-order mark at its start is dropped."""
     with open(path, "rb", buffering=0) as fh:
-        text = fh.read().decode("utf-8")
+        text = fh.read().decode("utf-8").removeprefix("\ufeff")
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     return parse_expr(" ".join([ln for ln in map(str.strip, lines) if ln[:1] != "#"]).strip())

@@ -55,7 +55,7 @@ import sys
 from array import array
 from itertools import repeat
 from math import gcd
-from operator import add, and_, attrgetter, lshift, neg, rshift, sub
+from operator import add, and_, attrgetter, lshift, mul, neg, rshift, sub
 
 from .errors import PrecisionError
 
@@ -167,7 +167,7 @@ class QSeries(Frozen):
         elif c == -1:
             coeffs = tuple(map(neg, self.coeffs))
         else:
-            coeffs = tuple(c * a for a in self.coeffs)
+            coeffs = tuple(map(mul, self.coeffs, repeat(c)))
         return QSeries(self.lead + h, coeffs, self.prec + h)
 
     def __neg__(self) -> QSeries:

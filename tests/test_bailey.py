@@ -15,7 +15,7 @@ from tetindex.bailey import (
     bailey_verify,
 )
 from tetindex.identities import pentagon_shifted_check
-from tetindex.lattice import _Term
+from tetindex.lattice import LatticeSumExpr
 from tetindex.series import QSeries, equal_to_order, monomial, zero
 from tetindex.tetrahedron import tet_index, tet_min_degree
 
@@ -375,6 +375,21 @@ class TestVerify:
         assert [r.window for r in reports] == windows
         assert calls["_beta_step"] == step_sums == 5 * len(steps)
 
+    def test_step_sums_build_no_expression(self, monkeypatch):
+        # each step member is a term built from its charges, so the
+        # depth-4 benchmark chain's 20 step sums build no LatticeSumExpr
+        built, init = [], LatticeSumExpr.__init__
+
+        def spy(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(LatticeSumExpr, "__init__", spy)
+        calls = self._count_sums(monkeypatch)
+        reports = bailey_chain(0, 1, [1, -1, 2, 0], (-2, 2), 8)
+        assert all(r.holds for r in reports) and calls["_beta_step"] == 20
+        assert built == []
+
     @staticmethod
     def _windows_in_order(n0, t, histories, order, m_range, prec):
         """Check the states of `histories`, all stepped from one seed, one
@@ -501,10 +516,9 @@ class TestKnownFalseMismatch:
         st, reach = self.state(2), 40
 
         def step_sum(level, m, inner):
-            total = zero(reach)
+            total, (m1, m2, e1, e2) = zero(reach), level._pentagon_args(m)
             for k in range(-reach, reach + 1):
-                ch1, ch2 = level._step_charges(m, k)
-                term = tet_index(*ch1, reach) * tet_index(*ch2, reach) * inner[k]
+                term = tet_index(m1, e1 + k, reach) * tet_index(m2, e2 + k, reach) * inner[k]
                 total = total + term.scaled(-1 if m % 2 else 1, 2 * k - m)
             return total
 
@@ -534,9 +548,10 @@ class TestShiftedPentagonStep:
             st = bailey_step(bailey_seed_delta(n, t), s)
             assert st._pentagon_args(m) == args
             (member,) = st._window_members(m)
+            m1, m2, e1, e2 = args
             for k in range(-5, 6):
-                charges, pref_h = _Term(member).at((k,))
-                assert charges == [*st._step_charges(m, k), (t, n + k)]
+                charges, pref_h = member.at((k,))
+                assert charges == [(m1, e1 + k), (m2, e2 + k), (t, n + k)]
                 assert pref_h == 2 * k - m
 
     def test_every_two_step_chain_holds(self):

@@ -11,6 +11,7 @@ from tetindex.errors import StabilizationError
 from tetindex.identities import (
     _members_window,
     _pentagon_sum,
+    _pentagon_term,
     compare_series,
     duality_check,
     pentagon_check,
@@ -29,6 +30,7 @@ from tetindex.lattice import (
     _faces,
     _low_ends,
     _low_points,
+    _Term,
     eval_expr_with_box,
 )
 from tetindex.series import equal_to_order, monomial, one
@@ -226,6 +228,17 @@ class TestShiftedPentagon:
     def test_identity_examples(self, args):
         assert pentagon_shifted_check(*args, 8).holds
 
+    def test_term_from_charges_is_the_sums_term(self):
+        # a Bailey step member is built from its charges; every field is
+        # the one the lattice reads from the expression
+        for m1, m2, e1, e2 in itertools.product(range(-2, 3), repeat=4):
+            built, read = _pentagon_term(m1, m2, e1, e2), _Term(_pentagon_sum(m1, m2, e1, e2))
+            assert vars(built) == vars(read)
+            for e0, pref_h in itertools.product(range(-2, 3), range(-3, 4)):
+                built = _pentagon_term(m1, m2, e1, e2, e0, pref_h)
+                read = _Term(_pentagon_sum(m1, m2, e1, e2, e0, pref_h))
+                assert vars(built) == vars(read), (m1, m2, e1, e2, e0, pref_h)
+
     def test_window_enlargement_stability(self):
         base = pentagon_shifted_rhs(0, 0, 0, 0, 1, 8)
         bigger = _cube_sum(_pentagon_sum(0, 0, 0, 0, 1, 0), 20, 8)
@@ -297,9 +310,9 @@ def _check_against_scan(factors, pref, prec, horizon):
     ) < prec
     if diverges:
         with pytest.raises(StabilizationError, match="diverges"):
-            _low_points(_Certificate(expr, prec))
+            _low_points(_Certificate(_Term(expr), prec))
         return
-    extent, points = _low_points(_Certificate(expr, prec))
+    extent, points = _low_points(_Certificate(_Term(expr), prec))
     assert extent == max((abs(j) for j in scan if j), default=0)
     assert sorted(points) == [(j,) for j in scan if j]
 
@@ -326,7 +339,7 @@ def _term_expr(term):
 
 def _certificate(term, prec):
     """The certificate of an affine term's rank-1 sum at `prec`."""
-    return _Certificate(_term_expr(term), prec)
+    return _Certificate(_Term(_term_expr(term)), prec)
 
 
 def _face_runs(term, prec):
@@ -536,12 +549,13 @@ class TestRank1Extent:
 
 class TestGrowSymmetricWindow:
     """The Bailey step window `_members_window`, on families of rank-1
-    sums: `dip(c)` has terms of degree |j-c| (|j-c| + 1), so below
-    half-exponent 8 exactly on |j - c| <= 2 and below 1 only at j = c."""
+    sums given by their terms: `dip(c)` has terms of degree
+    |j-c| (|j-c| + 1), so below half-exponent 8 exactly on |j - c| <= 2
+    and below 1 only at j = c."""
 
     @staticmethod
     def dip(c):
-        return _term_expr(lambda j: (((0, j - c), (0, c - j)), 0))
+        return _Term(_term_expr(lambda j: (((0, j - c), (0, c - j)), 0)))
 
     @staticmethod
     def window(members, prec):
@@ -576,6 +590,6 @@ class TestGrowSymmetricWindow:
 
     def test_divergent_member_raises(self):
         # I(0, j) has degree 0 for every j >= 0
-        flat = _term_expr(lambda j: (((0, j),), 0))
+        flat = _Term(_term_expr(lambda j: (((0, j),), 0)))
         with pytest.raises(StabilizationError, match="Bailey step window along .* diverges"):
             self.window([self.dip(0), flat], 1)

@@ -415,7 +415,7 @@ class TestCertificate:
         expr, prec = case
         radius = 120 if expr.rank == 2 else 24
         try:
-            extent, points = _low_points(_Certificate(expr, prec))
+            extent, points = _low_points(_Certificate(_Term(expr), prec))
         except StabilizationError as exc:
             line = re.search(r"line j \* \(([-\d, ]+)\) diverges", str(exc))
             if line is None:
@@ -472,7 +472,7 @@ class TestCertificate:
                 tet_min_degree(a * j + b, c * j + d) for a, b, c, d in rows
             ) < prec
 
-        runs = _Certificate(expr, prec).runs(_line(step))
+        runs = _Certificate(_Term(expr), prec).runs(_line(step))
         if low(10**7):
             assert runs is None
             return
@@ -484,7 +484,7 @@ class TestCertificate:
         # on the face k1 = r, |k2| <= r the first factor is at least
         # max(0, m, -e) = r and the second at least 0, so the bound is
         # exactly r and its low radii are 1 to prec - 1
-        cert = _Certificate(parse_expr(IND41_TEXT), 10)
+        cert = _Certificate(_Term(parse_expr(IND41_TEXT)), 10)
         runs = cert.runs(next(_faces(2)))
         assert sorted(r for first, last in runs for r in range(first, last + 1)) == list(
             range(1, 10)
@@ -587,6 +587,37 @@ def _swap_symmetric_sums(draw):
     return expr, shift, draw(st.integers(0, 12))
 
 
+def _group_by_search(expr):
+    """The symmetry group by exhaustive search: every signed permutation
+    g, in the order of `itertools.permutations` and then of the signs,
+    that leaves the prefactor's coefficients as they are and maps each
+    factor onto a factor not yet matched, as it is or as its dual."""
+
+    def form(f, g):
+        return f.constant, _act(g, f.coeffs)
+
+    def dual(m, e):
+        return (-e[0], tuple(-c for c in e[1])), (-m[0], tuple(-c for c in m[1]))
+
+    rank, group = expr.rank, []
+    identity = (tuple(range(rank)), (1,) * rank)
+    for g in itertools.product(
+        itertools.permutations(range(rank)), itertools.product((1, -1), repeat=rank)
+    ):
+        if _act(g, expr.prefactor.coeffs) != expr.prefactor.coeffs:
+            continue
+        left = [(form(m, identity), form(e, identity)) for m, e in expr.factors]
+        for m, e in expr.factors:
+            image = (form(m, g), form(e, g))
+            match = next((f for f in left if f in (image, dual(*image))), None)
+            if match is None:
+                break
+            left.remove(match)
+        else:
+            group.append(g)
+    return group
+
+
 # sums with groups of 2, 4, 6 and 8 elements, and the group's order
 SYMMETRIC_SUMS = [
     (IND41_TEXT, 4),
@@ -656,7 +687,7 @@ class TestSymmetry:
             assert len(calls) == want
             # the orbit sizes add up to the points: the origin and the low points
             assert sum(abs(c[2]) for c in calls) == 1 + len(
-                _low_points(_Certificate(expr, prec))[1]
+                _low_points(_Certificate(_Term(expr), prec))[1]
             )
 
     def test_orbits_must_cover_the_points(self):
@@ -675,6 +706,28 @@ class TestSymmetry:
         terms = {p: at(p) for p in [(0, 0, 0), (1, 0, 0)]}
         cube = {p: at(p) for p in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]}
         assert _orbit_sum(expr, terms, group, 10) == _orbit_sum(expr, cube, (), 10)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(
+            _symmetric_sums().map(lambda case: case[0]),
+            _swap_symmetric_sums().map(lambda case: case[0]),
+            _swap_symmetric_sums().map(lambda case: _translate(*case[:2])),
+        )
+    )
+    @example(parse_expr(SYMMETRIC_SUMS[0][0]))
+    @example(load_expr_file(RANK3_FILE))
+    @example(parse_expr(SYMMETRIC_SUMS[2][0]))
+    @example(parse_expr(SYMMETRIC_SUMS[3][0]))
+    @example(parse_expr(SYMMETRIC_SUMS[4][0]))
+    @example(parse_expr("sum a b c d : I(a,b)*I(b,c)*I(c,d)*I(d,a)"))
+    @example(parse_expr("sum k1 k2 : I(k1 - 7, k2) * I(k2, k1 - 7)"))
+    @example(_pentagon_sum(1, -2, 0, 1, 2, 3))
+    def test_group_is_the_exhaustive_search(self, expr):
+        # the same maps in the same order, the identity first
+        group = _symmetry_group(expr)
+        assert group[0] == (tuple(range(expr.rank)), (1,) * expr.rank)
+        assert group == _group_by_search(expr)
 
     @settings(max_examples=80, deadline=None)
     @given(_symmetric_sums())
@@ -698,7 +751,7 @@ class TestSymmetry:
         expr = parse_expr(text)
         group = _symmetry_group(expr)
         assert len(group) == order
-        extent, points = _low_points(_Certificate(expr, prec), group=group)
+        extent, points = _low_points(_Certificate(_Term(expr), prec), group=group)
         walked = {(axis, spans[axis][0]) for axis, _, spans in _faces(expr.rank, group)}
         assert len(walked) < 2 * expr.rank
         assert {lattice._face_of(p) for p in points} <= walked
@@ -714,11 +767,11 @@ class TestSymmetry:
         expr, _, prec = case
         group = _symmetry_group(expr)
         try:
-            extent, points = _low_points(_Certificate(expr, prec))
+            extent, points = _low_points(_Certificate(_Term(expr), prec))
         except StabilizationError:
             return
         # the faces walked are some of every face, so their walk succeeds
-        part_extent, part = _low_points(_Certificate(expr, prec), group=group)
+        part_extent, part = _low_points(_Certificate(_Term(expr), prec), group=group)
         assert part.keys() <= points.keys() and part_extent == extent
         assert {_act(g, p) for p in part for g in group} == points.keys()
 
@@ -791,8 +844,10 @@ class TestFiles:
             b"   # an indented comment\nsum k1 k2 : I(k1,k2)*I(k2,k1)\n",
             b"sum k1\n k2 : I(k1,\n\n k2) *\n I(k2, k1)\n",
             b"sum k1 k2 : I(k1,k2)*I(k2,k1)",
+            # as Windows Notepad writes UTF-8
+            b"\xef\xbb\xbfsum k1 k2 :\r\n  I(k1,k2)*I(k2,k1)\r\n",
         ],
-        ids=["crlf", "indented-comment", "split-over-lines", "no-trailing-newline"],
+        ids=["crlf", "indented-comment", "split-over-lines", "no-trailing-newline", "utf8-bom"],
     )
     def test_load_equals_the_one_line_parse(self, tmp_path, content):
         p = tmp_path / "expr.txt"
@@ -817,6 +872,24 @@ class TestFiles:
         with pytest.raises(ExprSyntaxError) as exc:
             load_expr_file(p)
         assert str(exc.value) == f"{message} (at position {position})"
+
+    @pytest.mark.parametrize(
+        "content, position",
+        [
+            # only one mark at the start of the file is dropped
+            (b"\xef\xbb\xbf\xef\xbb\xbfsum k : I(k, k)", 0),
+            (b"sum k : \xef\xbb\xbfI(k, k)", 8),
+            (b"sum k :\n\xef\xbb\xbfI(k, k)\n", 8),
+            (b"\n\xef\xbb\xbfsum k : I(k, k)", 0),
+        ],
+        ids=["second-mark", "inside-a-line", "start-of-a-line", "after-a-blank-line"],
+    )
+    def test_byte_order_mark_elsewhere_is_a_syntax_error(self, tmp_path, content, position):
+        p = tmp_path / "bom.txt"
+        p.write_bytes(content)
+        with pytest.raises(ExprSyntaxError) as exc:
+            load_expr_file(p)
+        assert str(exc.value) == f"unexpected character '\\ufeff' (at position {position})"
 
     def test_undecodable_byte_is_named_at_its_offset(self, tmp_path):
         # the file is decoded in one call, so a UTF-8 sequence cut off at
